@@ -53,18 +53,18 @@ from .errors import VassilievError
 from .expansion import (
     Expansion,
     ExpansionTerm,
-    Probe,
     bundled_expansion,
     check_expansion,
     load_expansion,
     parse_expansion,
-    probes_from_names,
     solve_basis_values,
 )
 from .invariants import (
+    INVARIANTS,
     InvariantReport,
     get_invariant,
     invariant_report,
+    methods,
     select_role_convention,
     v2,
     v2_lannes,

@@ -20,8 +20,9 @@ import sys
 from fractions import Fraction
 
 from .codes import (
-    GaussCode,
+    KnotRecord,
     bundled_knot_table,
+    is_realizable,
     load_knot_table,
     parse_gauss_code,
     random_perturbations,
@@ -29,15 +30,16 @@ from .codes import (
 )
 from .coordinates import coordinate_table
 from .diagrams import double_point_diagram
-from .errors import VassilievError
-from .expansion import (
-    bundled_expansion,
-    check_expansion,
-    load_expansion,
-    probes_from_names,
-    solve_basis_values,
+from .errors import NonPlanarCode, VassilievError
+from .expansion import bundled_expansion, check_expansion, load_expansion, solve_basis_values
+from .invariants import (
+    CANONICAL,
+    INVARIANTS,
+    REPORT_COLUMNS,
+    family,
+    invariant_report,
+    methods,
 )
-from .invariants import REPORT_COLUMNS, invariant_report
 from .weights import (
     MAX_ENUM_DEGREE,
     check_relations,
@@ -52,13 +54,6 @@ from .weights import (
 )
 
 _TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
-
-_METHOD_COLUMNS = {
-    "all": REPORT_COLUMNS,
-    "lannes": ("v2_lannes", "v3_lannes"),
-    "pv": ("v2_pv", "v3_pv"),
-    "thm": ("v3_thm",),
-}
 
 
 def _rat(value) -> str:
@@ -79,49 +74,57 @@ def _print_rows(fmt: str, columns: list[str], rows: list[dict], out) -> None:
             print("  ".join(f"{c}={row[c]}" for c in columns if c in row), file=out)
 
 
-def _corpus(args):
-    if getattr(args, "table", None):
-        return load_knot_table(args.table)
-    return bundled_knot_table()
+def _corpus(args) -> list[KnotRecord]:
+    """The knots from --code, --table or the bundled table, in input order.
 
-
-def _inputs(args) -> list[tuple[str, GaussCode]]:
-    """(name, code) pairs from --code or --table, in input order."""
+    Every code must be the code of a plane knot diagram; the methods are
+    only known to agree, and to be invariants, on those.
+    """
     if args.code is not None and args.table:
         raise VassilievError("give either --code or --table, not both")
     if args.code is not None:
-        return [("-", parse_gauss_code(args.code))]
-    return [(r.name, r.code) for r in _corpus(args)]
+        records = [KnotRecord("-", parse_gauss_code(args.code))]
+    elif args.table:
+        records = load_knot_table(args.table)
+    else:
+        records = bundled_knot_table()
+    for record in records:
+        if not is_realizable(record.code):
+            raise NonPlanarCode(f"knot {record.name!r} is not a plane knot diagram")
+    return records
 
 
-def cmd_compute(args) -> int:
-    columns = _METHOD_COLUMNS[args.method]
-    probes = probes_from_names(columns, patterns_dir=args.patterns_dir)
+def _probe_names(registry, degree: int) -> list[str]:
+    """The canonical invariants an expansion of this degree can be
+    checked on."""
+    return [name for name in CANONICAL if registry[name][0] <= degree]
+
+
+def cmd_compute(args, registry) -> int:
+    columns = [c for c in REPORT_COLUMNS if args.method in ("all", family(c))]
     rows = []
     all_consistent = True
-    for name, code in _inputs(args):
-        row = {"name": name}
-        for probe in probes:
-            row[probe.name] = _rat(probe.fn(code))
+    for record in _corpus(args):
+        row = {"name": record.name}
         if args.method == "all":
-            consistent = (
-                row["v2_lannes"] == row["v2_pv"]
-                and row["v3_lannes"] == row["v3_pv"] == row["v3_thm"]
-            )
-            row["consistent"] = "yes" if consistent else "no"
-            all_consistent = all_consistent and consistent
+            report = invariant_report(record.code, registry)
+            row.update((c, _rat(value)) for c, value in report.values.items())
+            row["consistent"] = "yes" if report.consistent else "no"
+            all_consistent = all_consistent and report.consistent
+        else:
+            row.update((c, _rat(registry[c][1](record.code))) for c in columns)
         rows.append(row)
     _print_rows(args.format, ["name", *columns] + (["consistent"] if args.method == "all" else []), rows, sys.stdout)
     return 0 if all_consistent else 1
 
 
-def cmd_coords(args) -> int:
+def cmd_coords(args, registry) -> int:
     rows = []
-    for name, code in _inputs(args):
-        for entry in coordinate_table(code):
+    for record in _corpus(args):
+        for entry in coordinate_table(record.code):
             rows.append(
                 {
-                    "name": name,
+                    "name": record.name,
                     "label": entry.label,
                     "delta": str(entry.delta),
                     "epsilon": str(entry.epsilon),
@@ -131,15 +134,9 @@ def cmd_coords(args) -> int:
     return 0
 
 
-def _weight_system(args):
+def _weight_system(args, registry):
     if args.invariant:
-        from .invariants import get_invariant
-
-        _, fn = get_invariant(args.invariant)
-        if args.patterns_dir is not None:
-            probe = probes_from_names([args.invariant], patterns_dir=args.patterns_dir)[0]
-            fn = probe.fn
-        return weight_from_invariant(fn, args.degree, args.invariant)
+        return weight_from_invariant(registry[args.invariant][1], args.degree, args.invariant)
     if args.degree == 2:
         return weight_system_from_function(w2, 2, "w2")
     if args.degree == 3:
@@ -147,8 +144,8 @@ def _weight_system(args):
     raise VassilievError(f"no bundled weight system of degree {args.degree}; use --invariant")
 
 
-def cmd_weights(args) -> int:
-    ws = _weight_system(args)
+def cmd_weights(args, registry) -> int:
+    ws = _weight_system(args, registry)
     rows = [
         {"diagram": chord_word(d), "value": _rat(ws.evaluate(d))}
         for d in enumerate_chord_diagrams(args.degree)
@@ -170,23 +167,22 @@ def cmd_weights(args) -> int:
     return 0 if report.one_term_ok and report.four_term_ok else 1
 
 
-def cmd_expansion(args) -> int:
+def cmd_expansion(args, registry) -> int:
     if args.file:
         expansion = load_expansion(args.file)
     else:
         expansion = bundled_expansion(args.degree)
     corpus = _corpus(args)
-    names = [n for n in ("v2", "v3") if probes_from_names([n])[0].degree <= expansion.degree]
-    probes = probes_from_names(names, patterns_dir=args.patterns_dir)
+    names = _probe_names(registry, expansion.degree)
     if args.action == "check":
-        report = check_expansion(expansion, probes, corpus)
+        report = check_expansion(expansion, names, corpus, registry)
         rows = [
             {"probe": r.probe, "knot": r.knot, "residual": _rat(r.residual)}
             for r in report.rows
         ]
         _print_rows(args.format, ["probe", "knot", "residual"], rows, sys.stdout)
         return 0 if report.all_zero else 1
-    report = solve_basis_values(expansion, probes, corpus)
+    report = solve_basis_values(expansion, names, corpus, registry)
     rows = []
     for solved in report.probes:
         if not solved.consistent:
@@ -204,19 +200,18 @@ def cmd_expansion(args) -> int:
     return 0 if report.consistent else 1
 
 
-def _suite_calibration(args):
+def _suite_calibration(args, registry):
     checks = 0
     for word, want in (("", 0), (_TREFOIL, 1)):
-        code = parse_gauss_code(word)
-        rep = invariant_report(code, patterns_dir=args.patterns_dir)
-        for column in REPORT_COLUMNS:
-            if rep.values[column] != want:
-                return False, f"{column} on {word!r} gave {rep.values[column]}, want {want}"
+        report = invariant_report(parse_gauss_code(word), registry)
+        for column, value in report.values.items():
+            if value != want:
+                return False, f"{column} on {word!r} gave {value}, want {want}"
             checks += 1
     return True, f"{checks} values"
 
 
-def _suite_relations(args):
+def _suite_relations(args, registry):
     for ws in (weight_system_from_function(w2, 2, "w2"),
                weight_system_from_function(w3, 3, "w3")):
         report = check_relations(ws)
@@ -229,26 +224,24 @@ def _suite_relations(args):
     return True, "w2, w3 pass; constant-1 control fails as it should"
 
 
-def _suite_weights(args):
-    pairs = (
-        (weight_from_invariant(probes_from_names(["v2"], args.patterns_dir)[0].fn, 2, "v2"), w2, 2),
-        (weight_from_invariant(probes_from_names(["v3"], args.patterns_dir)[0].fn, 3, "v3"), w3, 3),
-    )
+def _suite_weights(args, registry):
+    # each canonical invariant induces w2 or w3 at its own degree and
+    # vanishes at every higher one
+    references = {2: w2, 3: w3}
     checks = 0
-    for derived, reference, degree in pairs:
-        for d in enumerate_chord_diagrams(degree):
-            if derived.evaluate(d) != reference(d):
-                return False, f"degree {degree} mismatch on {chord_word(d)}"
-            checks += 1
-    low = weight_from_invariant(probes_from_names(["v2"], args.patterns_dir)[0].fn, 3, "v2@3")
-    for d in enumerate_chord_diagrams(3):
-        if low.evaluate(d) != 0:
-            return False, f"v2 weight at degree 3 nonzero on {chord_word(d)}"
-        checks += 1
+    for name in CANONICAL:
+        degree, fn = registry[name]
+        for n in range(degree, max(references) + 1):
+            derived = weight_from_invariant(fn, n, f"{name}@{n}")
+            for d in enumerate_chord_diagrams(n):
+                got, want = derived.evaluate(d), references[n](d) if n == degree else 0
+                if got != want:
+                    return False, f"{name} weight at degree {n} is {got} on {chord_word(d)}, want {want}"
+                checks += 1
     return True, f"{checks} diagrams"
 
 
-def _suite_4t(args):
+def _suite_4t(args, registry):
     degree = args.degree
     if degree not in (2, 3):
         raise VassilievError("the 4t suite needs --degree 2 or 3")
@@ -261,18 +254,15 @@ def _suite_4t(args):
     return True, f"{len(quadruples)} quadruples at degree {degree}"
 
 
-def _suite_expansion(args):
+def _suite_expansion(args, registry):
     corpus = _corpus(args)
-    for degree, names in ((2, ["v2"]), (3, ["v2", "v3"])):
+    for degree in (2, 3):
         expansion = bundled_expansion(degree)
-        probes = probes_from_names(names, patterns_dir=args.patterns_dir)
-        report = check_expansion(expansion, probes, corpus)
+        report = check_expansion(expansion, _probe_names(registry, degree), corpus, registry)
         if not report.all_zero:
             bad = next(r for r in report.rows if r.residual != 0)
             return False, f"n={degree} residual {bad.residual} at ({bad.probe}, {bad.knot})"
-    solved = solve_basis_values(
-        bundled_expansion(3), probes_from_names(["v2", "v3"], args.patterns_dir), corpus
-    )
+    solved = solve_basis_values(bundled_expansion(3), _probe_names(registry, 3), corpus, registry)
     values = {p.probe: dict(p.values) for p in solved.probes}
     if not solved.consistent:
         return False, "basis solve reported inconsistency"
@@ -281,36 +271,41 @@ def _suite_expansion(args):
     return True, "n=2 and n=3 residuals zero; solved v2=-1, v3=0 on the second basis knot"
 
 
-def _suite_invariance(args):
+def _suite_invariance(args, registry):
     corpus = _corpus(args)
-    probes = probes_from_names(list(REPORT_COLUMNS), patterns_dir=args.patterns_dir)
     baseline = {}
     checks = 0
+
+    def changed(code, want):
+        """The first method whose value on code differs from want."""
+        got = invariant_report(code, registry).values
+        return next((column for column in want if got[column] != want[column]), None)
+
     for record in corpus:
-        baseline[record.name] = {p.name: p.fn(record.code) for p in probes}
-        values = baseline[record.name]
-        if values["v2_lannes"] != values["v2_pv"]:
+        report = invariant_report(record.code, registry)
+        if not report.v2_consistent:
             return False, f"{record.name}: v2 methods disagree"
-        if not (values["v3_lannes"] == values["v3_pv"] == values["v3_thm"]):
+        if not report.v3_consistent:
             return False, f"{record.name}: v3 methods disagree"
+        values = baseline[record.name] = report.values
         for k in range(1, len(record.code.passages)):
-            rotated = rotate_basepoint(record.code, k)
-            for p in probes:
-                if p.fn(rotated) != values[p.name]:
-                    return False, f"{record.name}: {p.name} changed at rotation {k}"
-                checks += 1
+            column = changed(rotate_basepoint(record.code, k), values)
+            if column:
+                return False, f"{record.name}: {column} changed at rotation {k}"
+            checks += len(values)
     rng = random.Random(args.seed)
     for i in range(args.perturbations):
         record = corpus[i % len(corpus)]
         perturbed = random_perturbations(record.code, 1, rng)[0]
-        for p in probes:
-            if p.fn(perturbed) != baseline[record.name][p.name]:
-                return False, f"{record.name}: {p.name} changed under perturbation {i}"
-            checks += 1
+        values = baseline[record.name]
+        column = changed(perturbed, values)
+        if column:
+            return False, f"{record.name}: {column} changed under perturbation {i}"
+        checks += len(values)
     return True, f"{checks} comparisons, {args.perturbations} perturbations, seed {args.seed}"
 
 
-def _suite_realization(args):
+def _suite_realization(args, registry):
     top = min(args.degree, MAX_ENUM_DEGREE)
     count = 0
     for degree in range(top + 1):
@@ -333,12 +328,12 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, registry) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failed = False
     results = []
     for name in names:
-        ok, detail = _SUITES[name](args)
+        ok, detail = _SUITES[name](args, registry)
         results.append({"suite": name, "passed": ok, "detail": detail})
         failed = failed or not ok
     if args.format == "json":
@@ -361,15 +356,22 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--code", help="inline Gauss code, e.g. 'O1+ U2+ O3+ U1+ O2+ U3+'")
         p.add_argument("--table", help="JSON-lines knot table path (default: bundled)")
         p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-        p.add_argument("--patterns-dir", default=None, help="directory of .pat files overriding the bundled ones")
+
+    def add_patterns(p):
+        p.add_argument(
+            "--patterns-dir",
+            help="directory holding v2.pat, v3_pv.pat and v3_theorem.pat to count instead of the bundled ones",
+        )
 
     p = sub.add_parser("compute", help="evaluate the invariants on knots")
     add_io(p)
-    p.add_argument("--method", choices=sorted(_METHOD_COLUMNS), default="all")
+    add_patterns(p)
+    p.add_argument("--method", choices=sorted({"all", *map(family, REPORT_COLUMNS)}), default="all")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="run verification suites")
     add_io(p, code_input=False)
+    add_patterns(p)
     p.add_argument("--suite", choices=["all", *sorted(_SUITES)], default="all")
     p.add_argument("--perturbations", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -378,13 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coords", help="per-crossing first-passage and sign table")
     add_io(p)
-    p.set_defaults(func=cmd_coords)
+    p.set_defaults(func=cmd_coords, patterns_dir=None)
 
     p = sub.add_parser("weights", help="weight system values on all diagrams of a degree")
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--invariant", help="derive the weight system from this invariant")
+    p.add_argument("--invariant", choices=list(INVARIANTS), help="derive the weight system from this invariant")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    p.add_argument("--patterns-dir", default=None)
+    add_patterns(p)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("expansion", help="check or solve a basis expansion")
@@ -393,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=3, choices=(2, 3))
     p.add_argument("--table", help="JSON-lines knot table path (default: bundled)")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    p.add_argument("--patterns-dir", default=None)
-    p.set_defaults(func=cmd_expansion)
+    add_patterns(p)
+    p.set_defaults(func=cmd_expansion, code=None)
 
     return parser
 
@@ -402,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, methods(args.patterns_dir))
     except VassilievError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

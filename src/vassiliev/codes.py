@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
+    CheckFailed,
     IndexOutOfRange,
     LabelRoleMismatch,
     MalformedToken,
@@ -403,7 +404,8 @@ def embedding_genus(code: Union[GaussCode, SingularCode]) -> int:
     if c == 0:
         return 0
     euler = c - 2 * c + len(_faces(code))
-    assert euler % 2 == 0
+    if euler % 2:
+        raise CheckFailed(f"odd Euler characteristic {euler}")
     return (2 - euler) // 2
 
 
@@ -486,8 +488,8 @@ def apply_r2(code: GaussCode, position_a: int, position_b: int, orientation_case
     out = GaussCode(
         ps[:position_a] + over + ps[position_a:position_b] + under + ps[position_b:]
     )
-    if realizable_input:
-        assert is_realizable(out), "insertion broke planarity"
+    if realizable_input and not is_realizable(out):
+        raise CheckFailed("insertion broke planarity")
     return out
 
 

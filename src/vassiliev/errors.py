@@ -65,6 +65,14 @@ class UnderdeterminedSystem(VassilievError):
     """The probe set does not pin down the requested coefficients."""
 
 
+class NonPlanarCode(VassilievError):
+    """A Gauss code that is not the code of a plane knot diagram."""
+
+
+class CheckFailed(VassilievError):
+    """A computed result failed a check that guards its correctness."""
+
+
 class CalibrationUnresolved(VassilievError):
     """A sign or convention constant has not been fixed by calibration."""
 

@@ -14,11 +14,9 @@ corpus the checker runs against.
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .codes import GaussCode, KnotRecord
@@ -29,7 +27,7 @@ from .errors import (
     UnknownInvariant,
     VassilievError,
 )
-from .invariants import INVARIANTS
+from .invariants import INVARIANTS, Registry
 
 
 @dataclass(frozen=True)
@@ -42,15 +40,6 @@ class ExpansionTerm:
 class Expansion:
     degree: int
     terms: Tuple[ExpansionTerm, ...]
-
-
-@dataclass(frozen=True)
-class Probe:
-    """A named invariant evaluator with its degree."""
-
-    name: str
-    degree: int
-    fn: Callable[[GaussCode], int]
 
 
 @dataclass(frozen=True)
@@ -138,34 +127,28 @@ def bundled_expansion(degree: int) -> Expansion:
     return parse_expansion(text)
 
 
-def probes_from_names(names: Sequence[str], patterns_dir=None) -> list[Probe]:
+def _method(registry: Registry, name: str) -> tuple[int, Callable[[GaussCode], int]]:
+    try:
+        return registry[name]
+    except KeyError:
+        raise UnknownInvariant(f"unknown invariant {name!r}") from None
+
+
+def _probes(
+    expansion: Expansion, names: Sequence[str], registry: Registry
+) -> list[tuple[str, Callable[[GaussCode], int]]]:
+    """(name, evaluator) per probe; a probe above the expansion's degree
+    is refused."""
     probes = []
     for name in names:
-        entry = INVARIANTS.get(name)
-        if entry is None:
-            raise UnknownInvariant(f"unknown invariant {name!r}")
-        degree, fn = entry
-        if patterns_dir is not None and "patterns_dir" in inspect.signature(fn).parameters:
-            fn = partial(fn, patterns_dir=patterns_dir)
-        probes.append(Probe(name, degree, fn))
+        degree, fn = _method(registry, name)
+        if degree > expansion.degree:
+            raise DegreeTooHigh(
+                f"probe {name} has degree {degree}, "
+                f"expansion only claims degree {expansion.degree}"
+            )
+        probes.append((name, fn))
     return probes
-
-
-def _coefficient_evaluators(
-    expansion: Expansion, evaluators: Optional[Mapping[str, Callable]]
-) -> Dict[str, Callable[[GaussCode], int]]:
-    table: Dict[str, Callable[[GaussCode], int]] = {}
-    for term in expansion.terms:
-        for name in term.coeff:
-            if name in table:
-                continue
-            if evaluators is not None and name in evaluators:
-                table[name] = evaluators[name]
-            elif name in INVARIANTS:
-                table[name] = INVARIANTS[name][1]
-            else:
-                raise UnknownInvariant(f"no evaluator for invariant {name!r}")
-    return table
 
 
 def _basis_records(expansion: Expansion, corpus: Sequence[KnotRecord]) -> list[KnotRecord]:
@@ -179,11 +162,7 @@ def _basis_records(expansion: Expansion, corpus: Sequence[KnotRecord]) -> list[K
     return found
 
 
-def _term_weights(
-    expansion: Expansion,
-    code: GaussCode,
-    table: Mapping[str, Callable[[GaussCode], int]],
-) -> list[Fraction]:
+def _term_weights(expansion: Expansion, code: GaussCode, registry: Registry) -> list[Fraction]:
     """Evaluate every term's coefficient linear form on one knot."""
     cache: Dict[str, Fraction] = {}
     out = []
@@ -191,7 +170,7 @@ def _term_weights(
         total = Fraction(0)
         for name, weight in term.coeff.items():
             if name not in cache:
-                cache[name] = Fraction(table[name](code))
+                cache[name] = Fraction(_method(registry, name)[1](code))
             total += weight * cache[name]
         out.append(total)
     return out
@@ -199,37 +178,32 @@ def _term_weights(
 
 def check_expansion(
     expansion: Expansion,
-    probes: Sequence[Probe],
+    names: Sequence[str],
     corpus: Sequence[KnotRecord],
-    evaluators: Optional[Mapping[str, Callable]] = None,
+    registry: Registry = INVARIANTS,
     basis_values: Optional[Mapping[Tuple[str, str], Fraction]] = None,
 ) -> ExpansionReport:
     """Residuals probe(K) - sum of coeff(K) * probe(basis knot) over the corpus.
 
+    Probes and coefficient forms are both evaluated through ``registry``.
     With ``basis_values`` given, probe values on basis knots are taken
     from that (probe name, knot name) table instead of being computed.
     """
-    for probe in probes:
-        if probe.degree > expansion.degree:
-            raise DegreeTooHigh(
-                f"probe {probe.name} has degree {probe.degree}, "
-                f"expansion only claims degree {expansion.degree}"
-            )
-    table = _coefficient_evaluators(expansion, evaluators)
+    probes = _probes(expansion, names, registry)
     basis = _basis_records(expansion, corpus)
     rows = []
-    for probe in probes:
+    for name, fn in probes:
         if basis_values is None:
-            on_basis = [Fraction(probe.fn(record.code)) for record in basis]
+            on_basis = [Fraction(fn(record.code)) for record in basis]
         else:
-            on_basis = [basis_values[(probe.name, record.name)] for record in basis]
+            on_basis = [basis_values[(name, record.name)] for record in basis]
         for record in corpus:
-            weights = _term_weights(expansion, record.code, table)
+            weights = _term_weights(expansion, record.code, registry)
             predicted = sum(
                 (w * value for w, value in zip(weights, on_basis)), Fraction(0)
             )
-            residual = Fraction(probe.fn(record.code)) - predicted
-            rows.append(ResidualRow(probe.name, record.name, residual))
+            residual = Fraction(fn(record.code)) - predicted
+            rows.append(ResidualRow(name, record.name, residual))
     return ExpansionReport(tuple(rows))
 
 
@@ -255,9 +229,9 @@ def _eliminate(rows: list[list[Fraction]], unknowns: int) -> tuple[list[list[Fra
 
 def solve_basis_values(
     expansion: Expansion,
-    probes: Sequence[Probe],
+    names: Sequence[str],
     corpus: Sequence[KnotRecord],
-    evaluators: Optional[Mapping[str, Callable]] = None,
+    registry: Registry = INVARIANTS,
 ) -> SolveReport:
     """Fit probe values on the basis knots from the corpus equations.
 
@@ -265,27 +239,21 @@ def solve_basis_values(
     with a certificate naming the corpus combination that forces a
     contradiction; a rank-deficient one raises UnderdeterminedSystem.
     """
-    for probe in probes:
-        if probe.degree > expansion.degree:
-            raise DegreeTooHigh(
-                f"probe {probe.name} has degree {probe.degree}, "
-                f"expansion only claims degree {expansion.degree}"
-            )
+    probes = _probes(expansion, names, registry)
     t = len(expansion.terms)
     if len(corpus) <= t:
         raise UnderdeterminedSystem(
             f"corpus of {len(corpus)} knots cannot pin down {t} basis values"
         )
-    table = _coefficient_evaluators(expansion, evaluators)
-    weight_rows = [_term_weights(expansion, record.code, table) for record in corpus]
+    weight_rows = [_term_weights(expansion, record.code, registry) for record in corpus]
     knot_names = [record.name for record in corpus]
     solved = []
-    for probe in probes:
+    for name, fn in probes:
         # columns: t unknowns, rhs, then one tracking column per corpus row
         rows = []
         for k, record in enumerate(corpus):
             tracking = [Fraction(int(j == k)) for j in range(len(corpus))]
-            rows.append(weight_rows[k] + [Fraction(probe.fn(record.code))] + tracking)
+            rows.append(weight_rows[k] + [Fraction(fn(record.code))] + tracking)
         mat, pivot_cols = _eliminate(rows, t)
         certificate = None
         for row in mat:
@@ -299,15 +267,15 @@ def solve_basis_values(
                 certificate = f"{combo} forces 0 = {row[t]}"
                 break
         if certificate is not None:
-            solved.append(SolvedProbe(probe.name, {}, False, certificate))
+            solved.append(SolvedProbe(name, {}, False, certificate))
             continue
         if len(pivot_cols) < t:
             raise UnderdeterminedSystem(
-                f"probe {probe.name}: corpus determines only "
+                f"probe {name}: corpus determines only "
                 f"{len(pivot_cols)} of {t} basis values"
             )
         values = {}
         for rank, col in enumerate(pivot_cols):
             values[expansion.terms[col].knot] = mat[rank][t]
-        solved.append(SolvedProbe(probe.name, values, True, None))
+        solved.append(SolvedProbe(name, values, True, None))
     return SolveReport(tuple(solved))

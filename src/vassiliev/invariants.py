@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from .codes import GaussCode, KnotRecord, bundled_knot_table
 from .coordinates import delta, epsilon
@@ -105,48 +105,90 @@ def v3_lannes(code: GaussCode, role_convention: Optional[str] = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bundled(name: str) -> PatternExpression:
-    text = (resources.files("vassiliev") / "patterns" / name).read_text(
+def _bundled(file: str) -> PatternExpression:
+    text = (resources.files("vassiliev") / "patterns" / file).read_text(
         encoding="utf-8"
     )
     return parse_pattern_file(text)
 
 
-def _expression(name: str, patterns_dir) -> PatternExpression:
-    if patterns_dir is None:
-        return _bundled(name)
-    return load_pattern_file(Path(patterns_dir) / name)
+def _count(file: str, expression: PatternExpression, code: GaussCode) -> int:
+    return _integral(evaluate_expression(expression, code), f"the {file} count")
 
 
-def v2_polyak_viro(code: GaussCode, patterns_dir=None) -> int:
+def v2_polyak_viro(code: GaussCode) -> int:
     """Degree 2 invariant as the signed count of one based two-arrow
     pattern."""
-    value = evaluate_expression(_expression(_V2_FILE, patterns_dir), code)
-    return _integral(value, "the v2 pattern count")
+    return _count(_V2_FILE, _bundled(_V2_FILE), code)
 
 
-def v3_polyak_viro(code: GaussCode, patterns_dir=None) -> int:
+def v3_polyak_viro(code: GaussCode) -> int:
     """Degree 3 invariant from two rotation-summed three-arrow patterns,
     the second weighted 1/2."""
-    value = evaluate_expression(_expression(_V3_PV_FILE, patterns_dir), code)
-    return _integral(value, "the v3 pattern sum")
+    return _count(_V3_PV_FILE, _bundled(_V3_PV_FILE), code)
 
 
-def v3_theorem(code: GaussCode, patterns_dir=None) -> int:
+def v3_theorem(code: GaussCode) -> int:
     """Degree 3 invariant as the plain sum of five based three-arrow
     patterns with unit coefficients."""
-    value = evaluate_expression(_expression(_V3_THM_FILE, patterns_dir), code)
-    return _integral(value, "the five-pattern sum")
+    return _count(_V3_THM_FILE, _bundled(_V3_THM_FILE), code)
 
 
-def v2(code: GaussCode) -> int:
-    """Canonical degree 2 evaluator (the pattern count)."""
-    return v2_polyak_viro(code)
+# The canonical evaluators: the pattern count for v2, the five-pattern
+# sum for v3.  They are the same functions, so a registry that rebinds
+# a pattern method rebinds its canonical name with it.
+v2 = v2_polyak_viro
+v3 = v3_theorem
 
 
-def v3(code: GaussCode) -> int:
-    """Canonical degree 3 evaluator (the five-pattern sum)."""
-    return v3_theorem(code)
+# The only list of methods.  Names with a family suffix ("_lannes",
+# "_pv", "_thm") are the independent routes a report compares; the bare
+# names are the canonical evaluators.
+INVARIANTS: Dict[str, tuple[int, Callable[[GaussCode], int]]] = {
+    "v2": (2, v2),
+    "v3": (3, v3),
+    "v2_lannes": (2, v2_lannes),
+    "v2_pv": (2, v2_polyak_viro),
+    "v3_lannes": (3, v3_lannes),
+    "v3_pv": (3, v3_polyak_viro),
+    "v3_thm": (3, v3_theorem),
+}
+
+
+def family(name: str) -> str:
+    """The method family of a registry name ("lannes", "pv", "thm"), or
+    "" for a canonical evaluator."""
+    return name.partition("_")[2]
+
+
+REPORT_COLUMNS = tuple(name for name in INVARIANTS if family(name))
+CANONICAL = tuple(name for name in INVARIANTS if not family(name))
+
+Registry = Mapping[str, tuple[int, Callable[[GaussCode], int]]]
+
+
+def methods(patterns_dir=None) -> Registry:
+    """The method registry, name -> (degree, evaluator).
+
+    Without a directory this is INVARIANTS itself.  With one, v2.pat,
+    v3_pv.pat and v3_theorem.pat are read from it once, here, and every
+    name whose evaluator counts one of those files, v2 and v3 included,
+    counts the loaded copy instead.  A missing or malformed file raises
+    before anything is evaluated.
+    """
+    if patterns_dir is None:
+        return INVARIANTS
+
+    def loaded(file: str) -> Callable[[GaussCode], int]:
+        expression = load_pattern_file(Path(patterns_dir) / file)
+        return lambda code: _count(file, expression, code)
+
+    bound = {
+        v2_polyak_viro: loaded(_V2_FILE),
+        v3_polyak_viro: loaded(_V3_PV_FILE),
+        v3_theorem: loaded(_V3_THM_FILE),
+    }
+    return {name: (degree, bound.get(fn, fn)) for name, (degree, fn) in INVARIANTS.items()}
 
 
 @dataclass(frozen=True)
@@ -162,34 +204,16 @@ class InvariantReport:
         return self.v2_consistent and self.v3_consistent
 
 
-REPORT_COLUMNS = ("v2_lannes", "v2_pv", "v3_lannes", "v3_pv", "v3_thm")
+def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> InvariantReport:
+    """Evaluate every method; methods of equal degree must agree.
 
-
-def invariant_report(code: GaussCode, patterns_dir=None) -> InvariantReport:
-    """Evaluate every method; disagreements are reported, not raised."""
-    values = {
-        "v2_lannes": v2_lannes(code),
-        "v2_pv": v2_polyak_viro(code, patterns_dir),
-        "v3_lannes": v3_lannes(code),
-        "v3_pv": v3_polyak_viro(code, patterns_dir),
-        "v3_thm": v3_theorem(code, patterns_dir),
-    }
-    return InvariantReport(
-        values,
-        values["v2_lannes"] == values["v2_pv"],
-        values["v3_lannes"] == values["v3_pv"] == values["v3_thm"],
-    )
-
-
-INVARIANTS: Dict[str, tuple[int, Callable[[GaussCode], int]]] = {
-    "v2": (2, v2),
-    "v3": (3, v3),
-    "v2_lannes": (2, v2_lannes),
-    "v2_pv": (2, v2_polyak_viro),
-    "v3_lannes": (3, v3_lannes),
-    "v3_pv": (3, v3_polyak_viro),
-    "v3_thm": (3, v3_theorem),
-}
+    Disagreements are reported, not raised.
+    """
+    values = {name: registry[name][1](code) for name in REPORT_COLUMNS}
+    seen: Dict[int, set] = {}
+    for name, value in values.items():
+        seen.setdefault(registry[name][0], set()).add(value)
+    return InvariantReport(values, len(seen[2]) == 1, len(seen[3]) == 1)
 
 
 def get_invariant(name: str) -> tuple[int, Callable[[GaussCode], int]]:

@@ -25,7 +25,7 @@ from .codes import (
     validate,
 )
 from .diagrams import ChordDiagram, double_point_diagram, interleaved
-from .errors import TooLarge, WrongDegree
+from .errors import CheckFailed, TooLarge, WrongDegree
 
 MAX_ENUM_DEGREE = 6
 
@@ -62,26 +62,6 @@ def chord_word(d: ChordDiagram) -> str:
         rank = order.setdefault(at[pos], len(order) + 1)
         toks.append(str(rank))
     return " ".join(toks)
-
-
-def rotate_diagram(d: ChordDiagram, k: int) -> ChordDiagram:
-    n = 2 * d.degree
-    if n == 0:
-        return d
-    return ChordDiagram(tuple(((a - k) % n, (b - k) % n) for a, b in d.chords))
-
-
-def normalize_basepoint(d: ChordDiagram) -> ChordDiagram:
-    """Canonical representative of the diagram's rotation class: the
-    rotation with the lexicographically smallest endpoint word."""
-    best = d
-    best_word = chord_word(d)
-    for k in range(1, 2 * d.degree):
-        cand = rotate_diagram(d, k)
-        w = chord_word(cand)
-        if w < best_word:
-            best, best_word = cand, w
-    return best
 
 
 def _isolated(d: ChordDiagram, i: int) -> bool:
@@ -345,7 +325,7 @@ def realize_chord_diagram(d: ChordDiagram) -> SingularCode:
             return _realize_attempt(d, attempt)
         except _Degenerate as exc:
             last = exc
-    raise AssertionError(f"no generic realization found: {last}")
+    raise CheckFailed(f"no generic realization found: {last}")
 
 
 def _realize_attempt(d: ChordDiagram, attempt: int) -> SingularCode:
@@ -442,9 +422,12 @@ def _realize_attempt(d: ChordDiagram, attempt: int) -> SingularCode:
             passages.append(Passage(label, UNDER, sign))
 
     code = SingularCode(tuple(passages))
-    assert not validate(code), "realization produced an invalid code"
-    assert double_point_diagram(code) == d, "double point trace mismatch"
-    assert embedding_genus(code) == 0, "realization is not planar"
+    if validate(code):
+        raise CheckFailed("realization produced an invalid code")
+    if double_point_diagram(code) != d:
+        raise CheckFailed("double point trace mismatch")
+    if embedding_genus(code) != 0:
+        raise CheckFailed("realization is not planar")
     return code
 
 

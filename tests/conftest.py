@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 from hypothesis import settings
 
@@ -17,3 +19,14 @@ def corpus():
 @pytest.fixture
 def trefoil():
     return parse_gauss_code(TREFOIL)
+
+
+@pytest.fixture
+def doubled_v2_dir(tmp_path):
+    """A patterns directory whose v2.pat counts its pattern twice; the
+    two v3 files are copies of the bundled ones."""
+    bundled = resources.files("vassiliev") / "patterns"
+    for name in ("v3_pv.pat", "v3_theorem.pat"):
+        (tmp_path / name).write_text(bundled.joinpath(name).read_text(encoding="utf-8"))
+    (tmp_path / "v2.pat").write_text("2 0 1h 2t 1t 2h\n")
+    return tmp_path

@@ -20,7 +20,6 @@ from vassiliev import (
     invariant_report,
     mirror,
     parse_gauss_code,
-    probes_from_names,
     random_perturbations,
     rotate_basepoint,
     solve_basis_values,
@@ -137,15 +136,9 @@ def test_criterion_07_mirror_symmetry():
 def test_criterion_08_expansions():
     with criterion(8, "expansion residuals vanish and the solve recovers (-1, 0)"):
         corpus = bundled_knot_table()
-        assert check_expansion(
-            bundled_expansion(2), probes_from_names(["v2"]), corpus
-        ).all_zero
-        assert check_expansion(
-            bundled_expansion(3), probes_from_names(["v2", "v3"]), corpus
-        ).all_zero
-        solved = solve_basis_values(
-            bundled_expansion(3), probes_from_names(["v2", "v3"]), corpus
-        )
+        assert check_expansion(bundled_expansion(2), ["v2"], corpus).all_zero
+        assert check_expansion(bundled_expansion(3), ["v2", "v3"], corpus).all_zero
+        solved = solve_basis_values(bundled_expansion(3), ["v2", "v3"], corpus)
         values = {p.probe: dict(p.values) for p in solved.probes}
         assert values["v2"]["4_1"] == Fraction(-1)
         assert values["v3"]["4_1"] == Fraction(0)

@@ -69,6 +69,73 @@ def test_compute_missing_table(capsys):
     assert code == 2
 
 
+GENUS_ONE = "O1- U2- O3+ U1- O2- U3+"
+
+
+def test_compute_refuses_non_planar_code(capsys):
+    code, out, err = run(capsys, "compute", "--code", GENUS_ONE)
+    assert code == 2
+    assert out == ""
+    assert "'-'" in err and "plane" in err
+
+
+def test_compute_refuses_non_planar_table_line(capsys, tmp_path):
+    table = tmp_path / "t.jsonl"
+    table.write_text(
+        '{"name": "k", "gauss": "%s"}\n{"name": "torus", "gauss": "%s"}\n'
+        % (TREFOIL, GENUS_ONE)
+    )
+    code, out, err = run(capsys, "compute", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert "'torus'" in err and "plane" in err
+
+
+# -- --patterns-dir --------------------------------------------------------------
+
+def test_patterns_dir_reaches_canonical_weights(capsys, doubled_v2_dir):
+    code, out, _ = run(
+        capsys, "weights", "--degree", "2", "--invariant", "v2",
+        "--patterns-dir", str(doubled_v2_dir),
+    )
+    assert code == 0
+    assert "diagram=1 2 1 2  value=2" in out
+
+
+def test_patterns_dir_reaches_expansion(capsys, doubled_v2_dir):
+    code, out, _ = run(
+        capsys, "expansion", "check", "--degree", "2", "--format", "csv",
+        "--patterns-dir", str(doubled_v2_dir),
+    )
+    assert code == 1
+    assert "v2,3_1,-2" in out.splitlines()
+
+
+def test_patterns_dir_reaches_every_verify_suite(capsys, doubled_v2_dir):
+    code, out, _ = run(
+        capsys, "verify", "--perturbations", "5", "--patterns-dir", str(doubled_v2_dir),
+    )
+    assert code == 1
+    failed = {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")}
+    assert failed == {"calibration", "weights", "expansion", "invariance"}
+
+
+def test_patterns_dir_missing_file_refused(capsys, doubled_v2_dir):
+    code, out, err = run(capsys, "compute", "--method", "lannes", "--patterns-dir", "/nonexistent")
+    assert code == 2 and out == ""
+    assert "v2.pat" in err
+    (doubled_v2_dir / "v3_theorem.pat").unlink()
+    code, out, err = run(capsys, "compute", "--patterns-dir", str(doubled_v2_dir))
+    assert code == 2 and out == ""
+    assert "v3_theorem.pat" in err
+
+
+def test_coords_has_no_patterns_dir(capsys, doubled_v2_dir):
+    with pytest.raises(SystemExit) as err:
+        main(["coords", "--patterns-dir", str(doubled_v2_dir)])
+    assert err.value.code == 2
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_default_passes(capsys):
@@ -166,6 +233,15 @@ def test_weights_no_bundled_system(capsys):
     code, _, err = run(capsys, "weights", "--degree", "4")
     assert code == 2
     assert "--invariant" in err
+
+
+def test_failed_guard_exits_two(capsys, monkeypatch):
+    from vassiliev import weights
+
+    monkeypatch.setattr(weights, "embedding_genus", lambda code: 1)
+    code, out, err = run(capsys, "weights", "--degree", "2", "--invariant", "v2")
+    assert code == 2 and out == ""
+    assert "not planar" in err
 
 
 def test_weights_json(capsys):

@@ -21,8 +21,10 @@ from vassiliev import (
     rotate_basepoint,
     validate,
 )
+from vassiliev import codes
 from vassiliev.codes import has_even_interlacement
 from vassiliev.errors import (
+    CheckFailed,
     IndexOutOfRange,
     LabelRoleMismatch,
     MalformedToken,
@@ -247,6 +249,13 @@ def test_r2_insertions_on_virtual_code_not_checked():
     assert len(out.crossings) == 4
 
 
+def test_r2_planarity_guard(monkeypatch, trefoil):
+    # pretend the output of a valid insertion came out non-planar
+    monkeypatch.setattr(codes, "is_realizable", lambda code: code == trefoil)
+    with pytest.raises(CheckFailed):
+        apply_r2(trefoil, 2, 2, "case-1")
+
+
 def test_random_perturbations_deterministic(trefoil):
     a = random_perturbations(trefoil, 8, random.Random(3))
     b = random_perturbations(trefoil, 8, random.Random(3))
@@ -263,6 +272,13 @@ def test_genus_of_known_codes(trefoil):
     assert embedding_genus(parse_gauss_code("O1+ U1+")) == 0
     assert embedding_genus(parse_gauss_code(ABAB)) == 1
     assert embedding_genus(parse_singular_code("X1a X2a X1b X2b")) == 1
+
+
+def test_odd_euler_characteristic_raises(monkeypatch, trefoil):
+    # three crossings, six edges: four faces would make V - E + F odd
+    monkeypatch.setattr(codes, "_faces", lambda code: [()] * 4)
+    with pytest.raises(CheckFailed):
+        embedding_genus(trefoil)
 
 
 def test_realizability_of_fixtures_and_controls(corpus):

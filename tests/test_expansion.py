@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from vassiliev import (
+    INVARIANTS,
     Expansion,
     ExpansionTerm,
     KnotRecord,
     bundled_expansion,
     check_expansion,
     parse_expansion,
-    probes_from_names,
     random_perturbations,
     solve_basis_values,
 )
@@ -48,15 +48,13 @@ def test_parse_expansion_errors():
 
 
 def test_degree_two_residuals_vanish(corpus):
-    report = check_expansion(bundled_expansion(2), probes_from_names(["v2"]), corpus)
+    report = check_expansion(bundled_expansion(2), ["v2"], corpus)
     assert report.all_zero
     assert len(report.rows) == len(corpus)
 
 
 def test_degree_three_residuals_vanish(corpus):
-    report = check_expansion(
-        bundled_expansion(3), probes_from_names(["v2", "v3"]), corpus
-    )
+    report = check_expansion(bundled_expansion(3), ["v2", "v3"], corpus)
     assert report.all_zero
     assert len(report.rows) == 2 * len(corpus)
 
@@ -67,16 +65,12 @@ def test_residuals_vanish_on_perturbed_corpus(corpus):
     for record in corpus:
         for i, code in enumerate(random_perturbations(record.code, 3, rng)):
             extended.append(KnotRecord(f"{record.name}~{i}", code, None))
-    report = check_expansion(
-        bundled_expansion(3), probes_from_names(["v2", "v3"]), extended
-    )
+    report = check_expansion(bundled_expansion(3), ["v2", "v3"], extended)
     assert report.all_zero
 
 
 def test_solve_recovers_second_basis_knot(corpus):
-    report = solve_basis_values(
-        bundled_expansion(3), probes_from_names(["v2", "v3"]), corpus
-    )
+    report = solve_basis_values(bundled_expansion(3), ["v2", "v3"], corpus)
     assert report.consistent
     values = {p.probe: dict(p.values) for p in report.probes}
     assert values["v2"] == {"3_1": Fraction(1), "4_1": Fraction(-1)}
@@ -84,7 +78,7 @@ def test_solve_recovers_second_basis_knot(corpus):
 
 
 def test_solved_values_are_a_fixed_point(corpus):
-    probes = probes_from_names(["v2", "v3"])
+    probes = ["v2", "v3"]
     expansion = bundled_expansion(3)
     solved = solve_basis_values(expansion, probes, corpus)
     table = {
@@ -98,56 +92,55 @@ def test_solved_values_are_a_fixed_point(corpus):
 
 def test_probe_above_expansion_degree_rejected(corpus):
     with pytest.raises(DegreeTooHigh):
-        check_expansion(bundled_expansion(2), probes_from_names(["v3"]), corpus)
+        check_expansion(bundled_expansion(2), ["v3"], corpus)
     with pytest.raises(DegreeTooHigh):
-        solve_basis_values(bundled_expansion(2), probes_from_names(["v3"]), corpus)
+        solve_basis_values(bundled_expansion(2), ["v3"], corpus)
 
 
 def test_unknown_names_rejected(corpus):
     with pytest.raises(UnknownInvariant):
-        probes_from_names(["v9"])
+        check_expansion(bundled_expansion(2), ["v9"], corpus)
+    with pytest.raises(UnknownInvariant):
+        solve_basis_values(bundled_expansion(2), ["v9"], corpus)
     stray = parse_expansion(
         '{"degree": 2, "terms": [{"coeff": {"mystery": "1"}, "knot": "3_1"}]}'
     )
     with pytest.raises(UnknownInvariant):
-        check_expansion(stray, probes_from_names(["v2"]), corpus)
+        check_expansion(stray, ["v2"], corpus)
 
 
 def test_user_supplied_evaluator_fills_unknown_name(corpus):
     stray = parse_expansion(
         '{"degree": 2, "terms": [{"coeff": {"mystery": "1"}, "knot": "3_1"}]}'
     )
-    from vassiliev import v2
-
-    report = check_expansion(
-        stray, probes_from_names(["v2"]), corpus, evaluators={"mystery": v2}
-    )
+    registry = {**INVARIANTS, "mystery": INVARIANTS["v2"]}
+    report = check_expansion(stray, ["v2"], corpus, registry)
     assert report.all_zero
 
 
 def test_missing_basis_knot(corpus):
     orphan = Expansion(2, (ExpansionTerm({"v2": Fraction(1)}, "9_99"),))
     with pytest.raises(VassilievError):
-        check_expansion(orphan, probes_from_names(["v2"]), corpus)
+        check_expansion(orphan, ["v2"], corpus)
 
 
 def test_underdetermined_cases(corpus):
     e3 = bundled_expansion(3)
     with pytest.raises(UnderdeterminedSystem):
-        solve_basis_values(e3, probes_from_names(["v2"]), corpus[:2])
+        solve_basis_values(e3, ["v2"], corpus[:2])
     # duplicate equations keep the rank at one
     flat = [r for r in corpus if r.name in ("unknot", "3_1")]
     flat.append(KnotRecord("again", corpus[1].code, None))
     with pytest.raises(UnderdeterminedSystem):
-        solve_basis_values(e3, probes_from_names(["v2"]), flat)
+        solve_basis_values(e3, ["v2"], flat)
 
 
 def test_inconsistent_expansion_gets_certificate(corpus):
     lie = Expansion(2, (ExpansionTerm({"v3": Fraction(1)}, "3_1"),))
-    report = solve_basis_values(lie, probes_from_names(["v2"]), corpus)
+    report = solve_basis_values(lie, ["v2"], corpus)
     probe = report.probes[0]
     assert not report.consistent
     assert not probe.consistent
     assert "0 =" in probe.certificate
-    residuals = check_expansion(lie, probes_from_names(["v2"]), corpus)
+    residuals = check_expansion(lie, ["v2"], corpus)
     assert not residuals.all_zero

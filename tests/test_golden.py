@@ -1,0 +1,25 @@
+"""Recorded command-line runs, replayed byte for byte.
+
+Each entry of golden/cases.json gives an argument list and its exit
+code; golden/<name>.out holds the stdout it printed.  The runs cover
+compute on the bundled table in every format and method, coords,
+weights, expansion check and solve at degrees 2 and 3, and verify, so
+a refactor that changes any printed value or line shows up here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from vassiliev.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys):
+    case = CASES[name]
+    assert main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from vassiliev import (
+    INVARIANTS,
     get_invariant,
     invariant_report,
+    methods,
     mirror,
     parse_gauss_code,
     reverse_orientation,
@@ -108,9 +110,25 @@ def test_registry_functions_match_canonical(trefoil):
     assert get_invariant("v3_thm")[0] == 3
 
 
-def test_patterns_dir_override(tmp_path, trefoil):
-    (tmp_path / "v2.pat").write_text("2 0 1h 2t 1t 2h\n")
-    assert v2_polyak_viro(trefoil, patterns_dir=tmp_path) == 2 * v2(trefoil)
+def test_patterns_dir_override(doubled_v2_dir, trefoil):
+    registry = methods(doubled_v2_dir)
+    assert registry["v2_pv"][1](trefoil) == 2 * v2(trefoil)
+    assert registry["v2"][1](trefoil) == 2 * v2(trefoil)
+    assert registry["v3"][1](trefoil) == v3(trefoil)
+    assert registry["v2_lannes"] == INVARIANTS["v2_lannes"]
+    assert methods() is INVARIANTS
+
+
+def test_patterns_dir_needs_every_file(doubled_v2_dir):
+    (doubled_v2_dir / "v3_pv.pat").unlink()
+    with pytest.raises(FileNotFoundError, match="v3_pv.pat"):
+        methods(doubled_v2_dir)
+
+
+def test_report_rule_is_agreement_within_degree(doubled_v2_dir, trefoil):
+    report = invariant_report(trefoil, methods(doubled_v2_dir))
+    assert report.values["v2_pv"] == 2 and report.values["v2_lannes"] == 1
+    assert not report.v2_consistent and report.v3_consistent
 
 
 # -- committed calibration choices, locked in place ---------------------------

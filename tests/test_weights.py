@@ -18,7 +18,8 @@ from vassiliev import (
     weight_system_from_function,
 )
 from vassiliev.codes import OVER, embedding_genus, format_code, validate
-from vassiliev.errors import TooLarge, WrongDegree
+from vassiliev import weights
+from vassiliev.errors import CheckFailed, TooLarge, WrongDegree
 from vassiliev.invariants import v2, v3
 from vassiliev.weights import MAX_ENUM_DEGREE, WeightSystem, chord_word
 
@@ -239,3 +240,26 @@ def test_derived_weight_systems_pass_relations():
     for fn, n in ((v2, 2), (v3, 3)):
         report = check_relations(weight_from_invariant(fn, n, "derived"))
         assert report.one_term_ok and report.four_term_ok
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("validate", lambda code: ("invalid",)),
+        ("double_point_diagram", lambda code: ChordDiagram(())),
+        ("embedding_genus", lambda code: 1),
+    ],
+)
+def test_realization_guards_raise(monkeypatch, name, fake):
+    monkeypatch.setattr(weights, name, fake)
+    with pytest.raises(CheckFailed):
+        realize_chord_diagram(enumerate_chord_diagrams(2)[1])
+
+
+def test_realization_gives_up_with_an_error(monkeypatch):
+    def degenerate(d, attempt):
+        raise weights._Degenerate("forced")
+
+    monkeypatch.setattr(weights, "_realize_attempt", degenerate)
+    with pytest.raises(CheckFailed, match="no generic realization"):
+        realize_chord_diagram(enumerate_chord_diagrams(2)[1])
