@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .codes import (
 )
 from .coordinates import coordinate_table
 from .diagrams import double_point_diagram
-from .errors import NonPlanarCode, VassilievError
+from .errors import NonPlanarCode, VassilievError, WrongDegree
 from .expansion import bundled_expansion, check_expansion, load_expansion, solve_basis_values
 from .invariants import (
     CANONICAL,
@@ -136,7 +137,12 @@ def cmd_coords(args, registry) -> int:
 
 def _weight_system(args, registry):
     if args.invariant:
-        return weight_from_invariant(registry[args.invariant][1], args.degree, args.invariant)
+        degree, fn = registry[args.invariant]
+        # below its degree an invariant's alternating sum depends on the
+        # realization, not on the chord diagram
+        if args.degree < degree:
+            raise WrongDegree(f"{args.invariant} has degree {degree}; it induces no weight system at degree {args.degree}")
+        return weight_from_invariant(fn, args.degree, args.invariant)
     if args.degree == 2:
         return weight_system_from_function(w2, 2, "w2")
     if args.degree == 3:
@@ -245,13 +251,10 @@ def _suite_4t(args, registry):
     degree = args.degree
     if degree not in (2, 3):
         raise VassilievError("the 4t suite needs --degree 2 or 3")
-    ws = weight_system_from_function(w2 if degree == 2 else w3, degree, f"w{degree}")
-    quadruples = four_term_quadruples(degree)
-    for q in quadruples:
-        total = sum(s * ws.evaluate(d) for s, d in zip(q.signs, q.diagrams))
-        if total != 0:
-            return False, f"quadruple sums to {total}"
-    return True, f"{len(quadruples)} quadruples at degree {degree}"
+    report = check_relations(weight_system_from_function(w2 if degree == 2 else w3, degree, f"w{degree}"))
+    if not report.four_term_ok:
+        return False, next(v for v in report.violations if v.startswith("4T:"))
+    return True, f"{len(four_term_quadruples(degree))} quadruples at degree {degree}"
 
 
 def _suite_expansion(args, registry):
@@ -404,10 +407,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, methods(args.patterns_dir))
+        status = args.func(args, methods(args.patterns_dir))
+        sys.stdout.flush()  # so a closed pipe shows up here, not at exit
+        return status
     except VassilievError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly with the shell's
+        # SIGPIPE status, and let the interpreter's final flush go nowhere
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict
 
 from .codes import (
     DoublePointPassage,
@@ -238,73 +238,25 @@ def resolve_singular(s: SingularCode) -> list[tuple[int, GaussCode]]:
 
 # --- planar realization ---------------------------------------------------
 #
-# A chord diagram is realized by immersing the base circle in the plane
-# so that the two preimages of each chord meet at one transversal double
-# point.  The circle is traced as a closed polyline through exact
-# rational points: position s gets approach and departure anchors on the
-# unit circle, and each passage detours to the chord's interior apex,
-# crossing it on a short transversal segment.  At the apex the first
-# visit travels along the rotated chord direction and the second against
-# the chord direction, so the two middle segments meet exactly there,
-# with the chirality that makes the first-visit-over resolution a
-# positive crossing.  All remaining polyline self-intersections become
-# ordinary crossings, assigned the descending convention (first visit
-# over) with signs read off the exact geometry.
+# A chord diagram is realized by finger moves on a line.  The base circle
+# runs left to right along a horizontal line through positions 0..2n-1
+# and is closed by an arc far below.  Chord (i, j) becomes a thin finger:
+# its outgoing strand rises at i to the finger's height, runs right above
+# the line and dips across the line at j; just left of j the returning
+# strand comes back up across the line, runs left just under the outgoing
+# run and comes down beside i.  The outgoing strand's crossing of the line
+# is the double point, the returning strand's an ordinary crossing.  A
+# finger's height is the rank of its span j - i, ties broken by chord
+# index, so nested fingers never meet and an interleaved pair meets where
+# the higher finger's two legs at its inner endpoint cut the lower
+# finger's two runs: n + 4 * (interleaved pairs) ordinary crossings in
+# all.  Every strand is axis-parallel, the earlier visit of an ordinary
+# crossing is over, and its sign is that of cross(over, under) of the two
+# directions.  The first visit of a double point goes down and the second
+# goes right, the chirality that makes the first-visit-over resolution a
+# positive crossing.
 
-_Vec = Tuple[Fraction, Fraction]
-
-_APEX_PULL = Fraction(1, 2)  # apex = chord midpoint scaled toward the center
-_ANCHOR_OFF = Fraction(1, 3)  # anchor parameter offset around each position
-
-
-class _Degenerate(Exception):
-    """A non-generic coincidence in one realization attempt; the caller
-    retries with different segment lengths."""
-
-
-def _circle(t: Fraction) -> _Vec:
-    den = 1 + t * t
-    return ((1 - t * t) / den, 2 * t / den)
-
-
-def _sub(a: _Vec, b: _Vec) -> _Vec:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cross(a: _Vec, b: _Vec) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _segment_meet(
-    p: _Vec, p2: _Vec, q: _Vec, q2: _Vec
-) -> Optional[tuple[Fraction, Fraction, _Vec]]:
-    """Proper interior intersection of two segments, or None.
-
-    Collinear overlaps and endpoint touches between non-adjacent
-    segments are degeneracies the realization must not produce.
-    """
-    r = _sub(p2, p)
-    s = _sub(q2, q)
-    denom = _cross(r, s)
-    qp = _sub(q, p)
-    if denom == 0:
-        if _cross(qp, r) == 0:
-            # collinear: any overlap is non-generic
-            dot = r[0] * r[0] + r[1] * r[1]
-            t0 = (qp[0] * r[0] + qp[1] * r[1]) / dot
-            t1 = t0 + (s[0] * r[0] + s[1] * r[1]) / dot
-            lo, hi = min(t0, t1), max(t0, t1)
-            if not (hi <= 0 or lo >= 1):
-                raise _Degenerate("collinear overlap")
-        return None
-    t = _cross(qp, s) / denom
-    u = _cross(qp, r) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        if not (0 < t < 1 and 0 < u < 1):
-            raise _Degenerate("segment endpoint touch")
-        point = (p[0] + t * r[0], p[1] + t * r[1])
-        return t, u, point
-    return None
+_UP, _DOWN, _RIGHT, _LEFT = (0, 1), (0, -1), (1, 0), (-1, 0)
 
 
 def realize_chord_diagram(d: ChordDiagram) -> SingularCode:
@@ -315,111 +267,60 @@ def realize_chord_diagram(d: ChordDiagram) -> SingularCode:
     visit on the over branch.
     """
     n = d.degree
-    if n == 0:
-        return SingularCode(())
-    # The drawing is generic for almost every choice of segment lengths;
-    # walk a fixed schedule until no coincidence fires.
-    last: Exception = _Degenerate("untried")
-    for attempt in range(40):
-        try:
-            return _realize_attempt(d, attempt)
-        except _Degenerate as exc:
-            last = exc
-    raise CheckFailed(f"no generic realization found: {last}")
+    chords = d.chords
+    height = {c: (j - i, c) for c, (i, j) in enumerate(chords)}
+    chord_at = {x: c for c, ends in enumerate(chords) for x in ends}
 
-
-def _realize_attempt(d: ChordDiagram, attempt: int) -> SingularCode:
-    n = d.degree
-    chord_at: dict[int, tuple[int, bool]] = {}
-    for c, (i, j) in enumerate(d.chords):
-        chord_at[i] = (c, True)
-        chord_at[j] = (c, False)
-
-    point = [_circle(Fraction(s - n)) for s in range(2 * n)]
-    apex = []
-    direction = []
-    for i, j in d.chords:
-        mid = (
-            (point[i][0] + point[j][0]) / 2 * _APEX_PULL,
-            (point[i][1] + point[j][1]) / 2 * _APEX_PULL,
+    def lower(c: int, x: int) -> list[int]:
+        """Fingers lower than c whose runs pass over x, lowest first."""
+        return sorted(
+            (e for e, (k, l) in enumerate(chords) if k < x < l and height[e] < height[c]),
+            key=height.__getitem__,
         )
-        apex.append(mid)
-        direction.append(_sub(point[j], point[i]))
 
-    vertices: list[_Vec] = []
-    for s in range(2 * n):
-        c, is_first = chord_at[s]
-        m = apex[c]
-        dx, dy = direction[c]
-        lam = Fraction(1, 8 + 2 * attempt + 3 * c)
-        if is_first:
-            step = (-dy * lam, dx * lam)  # along rot90(d)
-        else:
-            step = (-dx * lam, -dy * lam)  # along -d
-        t = Fraction(s - n)
-        vertices.append(_circle(t - _ANCHOR_OFF))
-        vertices.append((m[0] - step[0], m[1] - step[1]))
-        vertices.append((m[0] + step[0], m[1] + step[1]))
-        vertices.append(_circle(t + _ANCHOR_OFF))
+    def higher_legs(c: int) -> list[tuple[int, str]]:
+        """Legs of higher fingers standing between c's endpoints, left to right."""
+        i, j = chords[c]
+        legs = []
+        for x in range(i + 1, j):
+            e = chord_at[x]
+            if height[e] > height[c]:
+                pair = ("out", "ret") if x == chords[e][0] else ("ret", "out")
+                legs.extend((e, leg) for leg in pair)
+        return legs
 
-    m_segs = len(vertices)
-    if len(set(vertices)) != m_segs:
-        raise _Degenerate("coincident polyline vertices")
-    segs = [(vertices[k], vertices[(k + 1) % m_segs]) for k in range(m_segs)]
+    def finger(c: int) -> list[tuple[tuple, tuple[int, int]]]:
+        """(crossing, direction) along finger c, from i back to i."""
+        i, j = chords[c]
+        at_i, at_j, legs = lower(c, i), lower(c, j), higher_legs(c)
+        return [
+            *(((e, run, c, "out"), _UP) for e in at_i for run in ("bot", "top")),
+            *(((c, "top", e, leg), _RIGHT) for e, leg in legs),
+            *(((e, run, c, "out"), _DOWN) for e in reversed(at_j) for run in ("top", "bot")),
+            (("dp", c), _DOWN),
+            (("tip", c), _UP),
+            *(((e, run, c, "ret"), _UP) for e in at_j for run in ("bot", "top")),
+            *(((c, "bot", e, leg), _LEFT) for e, leg in reversed(legs)),
+            *(((e, run, c, "ret"), _DOWN) for e in reversed(at_i) for run in ("top", "bot")),
+        ]
 
-    hits: dict[_Vec, list[tuple[int, Fraction]]] = {}
-    for a in range(m_segs):
-        for b in range(a + 1, m_segs):
-            if b - a == 1 or (a == 0 and b == m_segs - 1):
-                continue
-            meet = _segment_meet(*segs[a], *segs[b])
-            if meet is None:
-                continue
-            t, u, pt = meet
-            hits.setdefault(pt, []).extend([(a, t), (b, u)])
-
-    apex_of = {m: c for c, m in enumerate(apex)}
-    if len(apex_of) != n:
-        raise _Degenerate("coincident chord apexes")
-    for pt, ends in hits.items():
-        if len(ends) != 2:
-            raise _Degenerate(f"multiple point at {pt}")
-    for c, m in enumerate(apex):
-        got = sorted(seg for seg, _ in hits.get(m, ()))
-        i, j = d.chords[c]
-        if got != sorted((4 * i + 1, 4 * j + 1)):
-            raise _Degenerate("apex missed its cross segments")
-
-    by_seg: dict[int, list[tuple[Fraction, _Vec]]] = {}
-    for pt, ends in hits.items():
-        for seg, t in ends:
-            by_seg.setdefault(seg, []).append((t, pt))
-
-    first_dir: dict[_Vec, _Vec] = {}
-    first_label: dict[_Vec, str] = {}
     passages: list = []
-    next_ordinary = n + 1
-    for seg in range(m_segs):
-        seg_dir = _sub(segs[seg][1], segs[seg][0])
-        for _, pt in sorted(by_seg.get(seg, ())):
-            if pt in apex_of:
-                c = apex_of[pt]
-                visit = "b" if pt in first_dir else "a"
-                first_dir[pt] = seg_dir
-                passages.append(DoublePointPassage(str(c + 1), visit))
-                continue
-            if pt not in first_dir:
-                first_dir[pt] = seg_dir
-                first_label[pt] = str(next_ordinary)
-                next_ordinary += 1
-                passages.append(Passage(first_label[pt], OVER, 0))
-                continue
-            sign = 1 if _cross(first_dir[pt], seg_dir) > 0 else -1
-            label = first_label[pt]
-            for k, p in enumerate(passages):
-                if isinstance(p, Passage) and p.label == label:
-                    passages[k] = Passage(label, OVER, sign)
-            passages.append(Passage(label, UNDER, sign))
+    over: dict[tuple, tuple[int, str, tuple[int, int]]] = {}  # crossing -> its over visit
+    for x in range(2 * n):
+        c = chord_at[x]
+        first = x == chords[c][0]
+        line = [(("tip", c), _RIGHT), (("dp", c), _RIGHT)]  # under c's tip, left to right
+        for key, (dx, dy) in finger(c) if first else line:
+            if key[0] == "dp":
+                passages.append(DoublePointPassage(str(c + 1), "a" if first else "b"))
+            elif key not in over:
+                over[key] = (len(passages), str(n + 1 + len(over)), (dx, dy))
+                passages.append(None)  # filled in once the under visit fixes the sign
+            else:
+                k, label, (ox, oy) = over[key]
+                sign = 1 if ox * dy - oy * dx > 0 else -1
+                passages[k] = Passage(label, OVER, sign)
+                passages.append(Passage(label, UNDER, sign))
 
     code = SingularCode(tuple(passages))
     if validate(code):

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -170,6 +172,15 @@ def test_verify_4t_degree_bounds(capsys):
     assert "degree" in err
 
 
+def test_verify_4t_reports_violation(capsys, monkeypatch):
+    from vassiliev import cli
+
+    monkeypatch.setattr(cli, "w3", lambda d: 1 if cli.chord_word(d) == "1 2 3 1 2 3" else 0)
+    code, out, _ = run(capsys, "verify", "--suite", "4t")
+    assert code == 1
+    assert out.startswith("FAIL 4t: 4T: ")
+
+
 def test_verify_bad_suite_name(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])
@@ -227,6 +238,15 @@ def test_weights_derived_from_invariant(capsys):
     code, out, _ = run(capsys, "weights", "--degree", "3", "--invariant", "v2")
     assert code == 0
     assert "value=2" not in out and "value=1" not in out  # identically zero
+
+
+def test_weights_below_invariant_degree_refused(capsys):
+    # below its degree an invariant's alternating sum depends on the
+    # realization, so there is no weight to print
+    for degree, name, want in (("1", "v2", 2), ("2", "v3", 3)):
+        code, out, err = run(capsys, "weights", "--degree", degree, "--invariant", name)
+        assert code == 2 and out == ""
+        assert f"{name} has degree {want}" in err
 
 
 def test_weights_no_bundled_system(capsys):
@@ -312,3 +332,13 @@ def test_json_values_are_rational_strings(capsys):
     doc = json.loads(out)
     for row in doc["rows"]:
         assert isinstance(row["value"], str)
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["compute", "--code", TREFOIL]) == 141
+    assert capsys.readouterr().err == ""

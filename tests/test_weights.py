@@ -17,7 +17,7 @@ from vassiliev import (
     weight_from_invariant,
     weight_system_from_function,
 )
-from vassiliev.codes import OVER, embedding_genus, format_code, validate
+from vassiliev.codes import OVER, embedding_genus, format_code, is_realizable, validate
 from vassiliev import weights
 from vassiliev.errors import CheckFailed, TooLarge, WrongDegree
 from vassiliev.invariants import v2, v3
@@ -184,20 +184,35 @@ def test_resolution_keeps_ordinary_crossings():
 
 # -- planar realization ----------------------------------------------------------
 
+def check_realization(d: ChordDiagram, resolutions: bool = True):
+    """Round trip, planarity, and one ordinary crossing per finger tip plus
+    four per interleaved pair."""
+    code = realize_chord_diagram(d)
+    assert not validate(code)
+    assert double_point_diagram(code) == d
+    assert embedding_genus(code) == 0
+    ordinary = sum(hasattr(p, "role") for p in code.passages) // 2
+    assert ordinary == d.degree + 4 * len(crossing_pairs(d))
+    if resolutions:
+        terms = resolve_singular(code)
+        assert len(terms) == 2 ** d.degree
+        assert all(is_realizable(resolved) for _, resolved in terms)
+
+
 def test_realization_round_trip_small_degrees():
     for n in range(4):
         for d in enumerate_chord_diagrams(n):
-            code = realize_chord_diagram(d)
-            assert not validate(code)
-            assert double_point_diagram(code) == d
-            assert embedding_genus(code) == 0
+            check_realization(d)
 
 
 def test_realization_round_trip_degree_four():
     for d in enumerate_chord_diagrams(4):
-        code = realize_chord_diagram(d)
-        assert double_point_diagram(code) == d
-        assert embedding_genus(code) == 0
+        check_realization(d)
+
+
+def test_realization_round_trip_degree_five():
+    for d in enumerate_chord_diagrams(5):
+        check_realization(d, resolutions=False)
 
 
 def test_realization_ordinary_crossings_meet_over_first():
@@ -253,13 +268,4 @@ def test_derived_weight_systems_pass_relations():
 def test_realization_guards_raise(monkeypatch, name, fake):
     monkeypatch.setattr(weights, name, fake)
     with pytest.raises(CheckFailed):
-        realize_chord_diagram(enumerate_chord_diagrams(2)[1])
-
-
-def test_realization_gives_up_with_an_error(monkeypatch):
-    def degenerate(d, attempt):
-        raise weights._Degenerate("forced")
-
-    monkeypatch.setattr(weights, "_realize_attempt", degenerate)
-    with pytest.raises(CheckFailed, match="no generic realization"):
         realize_chord_diagram(enumerate_chord_diagrams(2)[1])
