@@ -62,7 +62,6 @@ from .expansion import (
 from .invariants import (
     INVARIANTS,
     InvariantReport,
-    get_invariant,
     invariant_report,
     methods,
     select_role_convention,

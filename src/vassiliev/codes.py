@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .errors import (
     CheckFailed,
@@ -31,6 +32,7 @@ from .errors import (
     MalformedToken,
     ParseError,
     SignMismatch,
+    UnbalancedLabel,
     UnknownLabel,
     UnsupportedOrientationCase,
     VassilievError,
@@ -78,43 +80,10 @@ class Diagnostic:
     message: str
 
 
-@dataclass(frozen=True)
-class GaussCode:
-    """An immutable signed Gauss code; passages in basepoint order."""
+class _Code:
+    """What the two code classes share: the passages and their pairing."""
 
-    passages: tuple[Passage, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.passages)
-
-    def __iter__(self) -> Iterator[Passage]:
-        return iter(self.passages)
-
-    @property
-    def crossings(self) -> tuple[str, ...]:
-        """Crossing labels in order of first appearance."""
-        seen: dict[str, None] = {}
-        for p in self.passages:
-            seen.setdefault(p.label, None)
-        return tuple(seen)
-
-    def positions(self, label: str) -> tuple[int, int]:
-        """Word positions of the two passages through ``label``, ascending."""
-        hits = [i for i, p in enumerate(self.passages) if p.label == label]
-        if len(hits) != 2:
-            raise UnknownLabel(f"label {label!r} does not occur twice")
-        return hits[0], hits[1]
-
-    def sign_of(self, label: str) -> int:
-        i, _ = self.positions(label)
-        return self.passages[i].sign
-
-
-@dataclass(frozen=True)
-class SingularCode:
-    """A Gauss code with double points mixed in."""
-
-    passages: tuple[AnyPassage, ...] = ()
+    passages: tuple
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -122,13 +91,60 @@ class SingularCode:
     def __iter__(self) -> Iterator[AnyPassage]:
         return iter(self.passages)
 
+    @cached_property
+    def ends(self) -> dict[tuple[type, str], tuple[int, ...]]:
+        """Word positions of every (passage type, label), ascending, keyed
+        in order of first appearance.  Computed once per code; every
+        pairing of passages into crossings or double points reads it."""
+        table: dict[tuple[type, str], list[int]] = {}
+        for i, p in enumerate(self.passages):
+            table.setdefault((type(p), p.label), []).append(i)
+        return {key: tuple(hits) for key, hits in table.items()}
+
+    def _labels(self, kind: type) -> tuple[str, ...]:
+        return tuple(label for k, label in self.ends if k is kind)
+
+    def pairs(self) -> Iterator[tuple[type, int, int]]:
+        """(passage type, first, second) per label, in order of first
+        appearance; a label not met exactly twice raises UnbalancedLabel."""
+        for (kind, label), hits in self.ends.items():
+            if len(hits) != 2:
+                raise UnbalancedLabel(f"label {label!r} occurs {len(hits)} times")
+            yield kind, hits[0], hits[1]
+
+
+@dataclass(frozen=True)
+class GaussCode(_Code):
+    """An immutable signed Gauss code; passages in basepoint order."""
+
+    passages: tuple[Passage, ...] = ()
+
+    @property
+    def crossings(self) -> tuple[str, ...]:
+        """Crossing labels in order of first appearance."""
+        return self._labels(Passage)
+
+    def positions(self, label: str) -> tuple[int, int]:
+        """Word positions of the two passages through ``label``, ascending."""
+        hits = self.ends.get((Passage, label), ())
+        if len(hits) != 2:
+            raise UnknownLabel(f"label {label!r} does not occur twice")
+        return hits
+
+    def sign_of(self, label: str) -> int:
+        i, _ = self.positions(label)
+        return self.passages[i].sign
+
+
+@dataclass(frozen=True)
+class SingularCode(_Code):
+    """A Gauss code with double points mixed in."""
+
+    passages: tuple[AnyPassage, ...] = ()
+
     @property
     def double_points(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for p in self.passages:
-            if isinstance(p, DoublePointPassage):
-                seen.setdefault(p.label, None)
-        return tuple(seen)
+        return self._labels(DoublePointPassage)
 
     @property
     def degree(self) -> int:
@@ -144,17 +160,26 @@ class KnotRecord:
     expected: Optional[Mapping[str, Fraction]] = None
 
 
-def _diagnose(passages: Sequence[AnyPassage]) -> list[Diagnostic]:
+def _diagnose(code: Union[GaussCode, SingularCode]) -> list[Diagnostic]:
+    # Crossing findings first, then double points, each sorted by label.
     out: list[Diagnostic] = []
-    ordinary: dict[str, list[Passage]] = {}
-    doubles: dict[str, list[tuple[int, DoublePointPassage]]] = {}
-    for i, p in enumerate(passages):
-        if isinstance(p, Passage):
-            ordinary.setdefault(p.label, []).append(p)
-        else:
-            doubles.setdefault(p.label, []).append((i, p))
-    for label, ps in sorted(ordinary.items()):
-        roles = sorted(p.role for p in ps)
+    ps = code.passages
+    for (kind, label), hits in sorted(
+        code.ends.items(), key=lambda e: (e[0][0] is DoublePointPassage, e[0][1])
+    ):
+        if kind is DoublePointPassage:
+            visits = [ps[i].visit for i in hits]
+            if visits != ["a", "b"]:
+                out.append(
+                    Diagnostic(
+                        "LabelRoleMismatch",
+                        label,
+                        f"double point {label} needs visit a then visit b,"
+                        f" got {'/'.join(visits) or 'nothing'}",
+                    )
+                )
+            continue
+        roles = sorted(ps[i].role for i in hits)
         if roles != [OVER, UNDER]:
             out.append(
                 Diagnostic(
@@ -164,24 +189,12 @@ def _diagnose(passages: Sequence[AnyPassage]) -> list[Diagnostic]:
                     " needs exactly one O and one U",
                 )
             )
-            continue
-        if ps[0].sign != ps[1].sign:
+        elif ps[hits[0]].sign != ps[hits[1]].sign:
             out.append(
                 Diagnostic(
                     "SignMismatch",
                     label,
                     f"crossing {label} carries both signs",
-                )
-            )
-    for label, ps in sorted(doubles.items()):
-        visits = [p.visit for _, p in sorted(ps)]
-        if visits != ["a", "b"]:
-            out.append(
-                Diagnostic(
-                    "LabelRoleMismatch",
-                    label,
-                    f"double point {label} needs visit a then visit b,"
-                    f" got {'/'.join(visits) or 'nothing'}",
                 )
             )
     return out
@@ -193,29 +206,34 @@ _DIAG_EXC = {
 }
 
 
-def _raise_first(diags: Sequence[Diagnostic]) -> None:
-    if diags:
-        d = diags[0]
-        raise _DIAG_EXC[d.kind](d.message)
-
-
-def _normalize_labels(passages: Sequence[AnyPassage]) -> tuple[AnyPassage, ...]:
-    # Dense relabeling "1".."n" in order of first appearance, double points
-    # numbered in the same shared sequence as crossings never collide since
-    # the token kinds differ.
-    ordinary: dict[str, str] = {}
-    doubles: dict[str, str] = {}
-    for p in passages:
-        table = ordinary if isinstance(p, Passage) else doubles
-        if p.label not in table:
-            table[p.label] = str(len(table) + 1)
-    out: list[AnyPassage] = []
-    for p in passages:
-        if isinstance(p, Passage):
-            out.append(Passage(ordinary[p.label], p.role, p.sign))
+def _parse(text: str, kind: type) -> Union[GaussCode, SingularCode]:
+    """Read tokens into a code of ``kind``, diagnose it on the labels as
+    written, then relabel crossings and double points, each densely
+    "1".."n" in order of first appearance (the two never collide since
+    the token kinds differ)."""
+    passages: list[AnyPassage] = []
+    for tok in text.split():
+        if m := _TOKEN.match(tok):
+            role, label, sign = m.groups()
+            passages.append(Passage(label, role, 1 if sign == "+" else -1))
+        elif kind is SingularCode and (m := _SINGULAR_TOKEN.match(tok)):
+            passages.append(DoublePointPassage(*m.groups()))
         else:
-            out.append(DoublePointPassage(doubles[p.label], p.visit))
-    return tuple(out)
+            raise MalformedToken(f"bad token {tok!r}")
+    raw = kind(tuple(passages))
+    diags = _diagnose(raw)
+    if diags:
+        raise _DIAG_EXC[diags[0].kind](diags[0].message)
+    new = {
+        (k, label): str(rank)
+        for k in (Passage, DoublePointPassage)
+        for rank, label in enumerate(raw._labels(k), start=1)
+    }
+    return kind(tuple(
+        Passage(new[Passage, p.label], p.role, p.sign) if type(p) is Passage
+        else DoublePointPassage(new[DoublePointPassage, p.label], p.visit)
+        for p in passages
+    ))
 
 
 def parse_gauss_code(text: str) -> GaussCode:
@@ -224,32 +242,12 @@ def parse_gauss_code(text: str) -> GaussCode:
     Labels are normalized to 1..n in order of first appearance.  Raises
     MalformedToken, LabelRoleMismatch, or SignMismatch on bad input.
     """
-    passages: list[Passage] = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if not m:
-            raise MalformedToken(f"bad token {tok!r}")
-        role, label, sign = m.groups()
-        passages.append(Passage(label, role, 1 if sign == "+" else -1))
-    _raise_first(_diagnose(passages))
-    return GaussCode(_normalize_labels(passages))
+    return _parse(text, GaussCode)
 
 
 def parse_singular_code(text: str) -> SingularCode:
     """Parse a token string that may contain double point visits Xna/Xnb."""
-    passages: list[AnyPassage] = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if m:
-            role, label, sign = m.groups()
-            passages.append(Passage(label, role, 1 if sign == "+" else -1))
-            continue
-        s = _SINGULAR_TOKEN.match(tok)
-        if not s:
-            raise MalformedToken(f"bad token {tok!r}")
-        passages.append(DoublePointPassage(s.group(1), s.group(2)))
-    _raise_first(_diagnose(passages))
-    return SingularCode(_normalize_labels(passages))
+    return _parse(text, SingularCode)
 
 
 def format_code(code: Union[GaussCode, SingularCode]) -> str:
@@ -263,7 +261,7 @@ def validate(code: Union[GaussCode, SingularCode]) -> tuple[Diagnostic, ...]:
     Empty result means the code is well formed.  Parsing already
     enforces these, so this matters for codes assembled directly.
     """
-    out = list(_diagnose(code.passages))
+    out = _diagnose(code)
     for p in code.passages:
         if isinstance(p, Passage):
             if p.role not in (OVER, UNDER):
@@ -355,19 +353,12 @@ def _rotation_system(code: Union[GaussCode, SingularCode]) -> list[tuple[int, in
     def d_out(p: int) -> int:
         return 2 * p
 
-    by_label: dict[tuple[type, str], list[int]] = {}
-    for i, p in enumerate(ps):
-        by_label.setdefault((type(p), p.label), []).append(i)
-
     rotations = []
-    for (kind, label), hits in by_label.items():
-        if len(hits) != 2:
-            raise UnknownLabel(f"label {label!r} does not occur twice")
-        first, second = hits
+    for kind, first, second in code.pairs():
         if kind is DoublePointPassage:
             rotations.append((d_in(first), d_in(second), d_out(first), d_out(second)))
             continue
-        a, b = ps[first], ps[second]
+        a = ps[first]
         over, under = (first, second) if a.role == OVER else (second, first)
         if a.sign > 0:
             rotations.append((d_in(over), d_in(under), d_out(over), d_out(under)))

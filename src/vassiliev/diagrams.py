@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .codes import GaussCode, OVER, SingularCode
+from .codes import DoublePointPassage, GaussCode, OVER, SingularCode
 from .errors import (
     IndexOutOfRange,
     MalformedToken,
@@ -134,22 +134,15 @@ class ChordDiagram:
 def arrow_diagram_from_code(code: Union[GaussCode, SingularCode]) -> ArrowDiagram:
     """Arrow diagram of a code; double points become sign +1 arrows
     pointing from the first visit."""
-    first: dict[tuple[type, str], int] = {}
     arrows = []
-    for pos, p in enumerate(code.passages):
-        key = (type(p), p.label)
-        if key not in first:
-            first[key] = pos
-            continue
-        q = first.pop(key)
-        if hasattr(p, "role"):
-            over, under = (q, pos) if code.passages[q].role == OVER else (pos, q)
-            arrows.append(Arrow(over, under, p.sign))
+    for kind, first, second in code.pairs():
+        p = code.passages[first]
+        if kind is DoublePointPassage:
+            arrows.append(Arrow(first, second, 1))
+        elif p.role == OVER:
+            arrows.append(Arrow(first, second, p.sign))
         else:
-            arrows.append(Arrow(q, pos, 1))
-    if first:
-        label = next(iter(first))[1]
-        raise UnbalancedLabel(f"label {label!r} occurs once")
+            arrows.append(Arrow(second, first, p.sign))
     return ArrowDiagram(tuple(arrows))
 
 
@@ -160,28 +153,21 @@ def chord_diagram(source: Union[GaussCode, SingularCode, ArrowDiagram]) -> Chord
     return ChordDiagram(tuple((a.tail, a.head) for a in source.arrows))
 
 
+def _packed(spans: Sequence[tuple[int, int]]) -> ChordDiagram:
+    """Chord diagram of position pairs, renumbered 0..2k-1 in order."""
+    rank = {p: i for i, p in enumerate(sorted(p for s in spans for p in s))}
+    return ChordDiagram(tuple((rank[a], rank[b]) for a, b in spans))
+
+
 def double_point_diagram(code: SingularCode) -> ChordDiagram:
     """Chord diagram of the double points alone, ordinary crossings
     ignored, positions packed in traversal order."""
-    firsts: dict[str, int] = {}
-    spans = []
-    rank = 0
-    for p in code.passages:
-        if not hasattr(p, "visit"):
-            continue
-        if p.label in firsts:
-            spans.append((firsts[p.label], rank))
-        else:
-            firsts[p.label] = rank
-        rank += 1
-    return ChordDiagram(tuple(spans))
+    return _packed([(a, b) for kind, a, b in code.pairs() if kind is DoublePointPassage])
 
 
 def chord_subdiagram(code: GaussCode, labels: Sequence[str]) -> ChordDiagram:
     """Chord diagram spanned by the chosen crossings, positions packed."""
-    spans = [code.positions(l) for l in labels]
-    rank = {p: i for i, p in enumerate(sorted(p for s in spans for p in s))}
-    return ChordDiagram(tuple((rank[a], rank[b]) for a, b in spans))
+    return _packed([code.positions(l) for l in labels])
 
 
 def interleaved(diagram: ChordDiagram, i: int, j: int) -> bool:

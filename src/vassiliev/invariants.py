@@ -27,7 +27,7 @@ from .diagrams import (
     load_pattern_file,
     parse_pattern_file,
 )
-from .errors import CalibrationUnresolved, NonIntegerResult, UnknownInvariant
+from .errors import CalibrationUnresolved, NonIntegerResult
 from .weights import w2, w3
 
 # Transcribing the coordinate formulas verbatim yields -1 on the right
@@ -214,16 +214,6 @@ def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> Invari
     for name, value in values.items():
         seen.setdefault(registry[name][0], set()).add(value)
     return InvariantReport(values, len(seen[2]) == 1, len(seen[3]) == 1)
-
-
-def get_invariant(name: str) -> tuple[int, Callable[[GaussCode], int]]:
-    """(degree, evaluator) for a registry name."""
-    try:
-        return INVARIANTS[name]
-    except KeyError:
-        raise UnknownInvariant(
-            f"{name!r} is not one of {sorted(INVARIANTS)}"
-        ) from None
 
 
 def select_role_convention(corpus: Optional[Sequence[KnotRecord]] = None) -> str:

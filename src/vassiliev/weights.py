@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict
+from math import prod
+from typing import Callable, Dict, Iterator
 
 from .codes import (
     DoublePointPassage,
@@ -28,6 +29,21 @@ from .diagrams import ChordDiagram, double_point_diagram, interleaved
 from .errors import CheckFailed, TooLarge, WrongDegree
 
 MAX_ENUM_DEGREE = 6
+# weight_from_invariant evaluates the invariant on (2n-1)!! * 2^n resolved
+# codes: 30,240 at degree 5, 665,280 at degree 6.
+MAX_INDUCED_DEGREE = 5
+
+
+def _matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every perfect matching of the points; the first point's partner
+    varies slowest, in the order of ``points``."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for i, partner in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield ((first, partner),) + tail
 
 
 def enumerate_chord_diagrams(n: int) -> list[ChordDiagram]:
@@ -35,18 +51,7 @@ def enumerate_chord_diagrams(n: int) -> list[ChordDiagram]:
     deterministic order."""
     if not 0 <= n <= MAX_ENUM_DEGREE:
         raise TooLarge(f"degree {n} outside 0..{MAX_ENUM_DEGREE}")
-    out: list[ChordDiagram] = []
-
-    def build(free: tuple[int, ...], acc: tuple[tuple[int, int], ...]) -> None:
-        if not free:
-            out.append(ChordDiagram(acc))
-            return
-        first, rest = free[0], free[1:]
-        for i, partner in enumerate(rest):
-            build(rest[:i] + rest[i + 1:], acc + ((first, partner),))
-
-    build(tuple(range(2 * n)), ())
-    return out
+    return [ChordDiagram(m) for m in _matchings(tuple(range(2 * n)))]
 
 
 def chord_word(d: ChordDiagram) -> str:
@@ -128,16 +133,6 @@ def four_term_quadruples(n: int) -> list[FourTermQuadruple]:
     m = 2 * n - 1
     quads: list[FourTermQuadruple] = []
 
-    def matchings(points: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-        if not points:
-            return [()]
-        first, rest = points[0], points[1:]
-        out = []
-        for i, partner in enumerate(rest):
-            for tail in matchings(rest[:i] + rest[i + 1:]):
-                out.append(((first, partner),) + tail)
-        return out
-
     def insert(chords, fixed_end, slot):
         shifted = tuple(
             (a + (a >= slot), b + (b >= slot)) for a, b in chords
@@ -149,7 +144,7 @@ def four_term_quadruples(n: int) -> list[FourTermQuadruple]:
         rest = tuple(p for p in range(m) if p not in (b1, b2))
         for a2 in rest:
             background = tuple(p for p in rest if p != a2)
-            for bg in matchings(background):
+            for bg in _matchings(background):
                 base = bg + ((b1, b2),)
                 four = tuple(
                     insert(base, a2, slot) for slot in (b1, b1 + 1, b2, b2 + 1)
@@ -336,7 +331,15 @@ def weight_from_invariant(
     v: Callable[[GaussCode], int], n: int, name: str = ""
 ) -> WeightSystem:
     """The weight system the invariant induces at degree n: realize each
-    diagram, resolve its double points, and alternate-sum the invariant."""
+    diagram, resolve its double points, and alternate-sum the invariant.
+
+    Refused above MAX_INDUCED_DEGREE, before any diagram is realized."""
+    if n > MAX_INDUCED_DEGREE:
+        evaluations = prod(range(1, 2 * n, 2)) << n
+        raise TooLarge(
+            f"an induced weight system at degree {n} needs {evaluations:,} invariant"
+            f" evaluations; the limit is degree {MAX_INDUCED_DEGREE}"
+        )
     table: Dict[ChordDiagram, Fraction] = {}
     for d in enumerate_chord_diagrams(n):
         code = realize_chord_diagram(d)

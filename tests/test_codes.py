@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vassiliev import (
+    DoublePointPassage,
     GaussCode,
     Passage,
+    SingularCode,
     apply_r1,
     apply_r2,
     embedding_genus,
@@ -98,6 +100,16 @@ def test_parse_rejects_sign_mismatch():
 def test_positions_unknown_label(trefoil):
     with pytest.raises(UnknownLabel):
         trefoil.positions("9")
+    thrice = GaussCode((Passage("1", "O", 1), Passage("1", "U", 1), Passage("1", "O", 1)))
+    with pytest.raises(UnknownLabel):
+        thrice.positions("1")
+
+
+def test_pairing_table_is_not_a_field(trefoil):
+    twin = parse_gauss_code(TREFOIL)
+    assert trefoil.positions("2") == (1, 4)
+    assert twin == trefoil and hash(twin) == hash(trefoil)
+    assert "ends" in vars(trefoil) and "ends" not in vars(twin)
 
 
 def test_parse_singular_tokens():
@@ -111,6 +123,14 @@ def test_parse_singular_tokens():
 def test_singular_visit_order_enforced():
     with pytest.raises(LabelRoleMismatch):
         parse_singular_code("X1b X1a")
+    # crossing findings come before double-point findings
+    with pytest.raises(SignMismatch, match="crossing 7"):
+        parse_singular_code("X5b X5a O7+ U7-")
+    bad = SingularCode((DoublePointPassage("5", "b"), DoublePointPassage("5", "a"),
+                        Passage("7", "O", 1), Passage("7", "U", -1)))
+    assert [(d.kind, d.label) for d in validate(bad)] == [
+        ("SignMismatch", "7"), ("LabelRoleMismatch", "5")
+    ]
 
 
 def test_validate_reports_instead_of_raising():

@@ -9,6 +9,8 @@ from vassiliev import (
     Arrow,
     ArrowDiagram,
     ChordDiagram,
+    GaussCode,
+    Passage,
     arrow_diagram_from_code,
     chord_diagram,
     chord_subdiagram,
@@ -116,6 +118,12 @@ def test_singular_code_arrows():
     code = parse_singular_code("X1a O2+ X1b U2+")
     diagram = arrow_diagram_from_code(code)
     assert diagram.arrows == (Arrow(0, 2, 1), Arrow(1, 3, 1))
+
+
+def test_arrow_diagram_refuses_label_met_four_times():
+    four = GaussCode(tuple(Passage("1", role, 1) for role in "OUOU"))
+    with pytest.raises(UnbalancedLabel, match="occurs 4 times"):
+        arrow_diagram_from_code(four)
 
 
 def test_double_point_diagram_ignores_ordinary_crossings():

@@ -4,7 +4,8 @@ import pytest
 
 from vassiliev import (
     INVARIANTS,
-    get_invariant,
+    bundled_expansion,
+    check_expansion,
     invariant_report,
     methods,
     mirror,
@@ -47,7 +48,7 @@ def test_all_methods_give_one_on_trefoil(trefoil):
 def test_expected_fixture_values(corpus):
     for record in corpus:
         for name, value in (record.expected or {}).items():
-            _, fn = get_invariant(name)
+            _, fn = INVARIANTS[name]
             assert fn(record.code) == value, record.name
 
 
@@ -99,15 +100,15 @@ def test_half_sum_can_fail_on_virtual_codes():
         v2_lannes(virtual)
 
 
-def test_unknown_invariant_name():
+def test_unknown_invariant_name(corpus):
     with pytest.raises(UnknownInvariant):
-        get_invariant("v7")
+        check_expansion(bundled_expansion(2), ["v7"], corpus)
 
 
 def test_registry_functions_match_canonical(trefoil):
-    assert get_invariant("v2")[1](trefoil) == v2(trefoil)
-    assert get_invariant("v3")[1](trefoil) == v3(trefoil)
-    assert get_invariant("v3_thm")[0] == 3
+    assert INVARIANTS["v2"][1](trefoil) == v2(trefoil)
+    assert INVARIANTS["v3"][1](trefoil) == v3(trefoil)
+    assert INVARIANTS["v3_thm"][0] == 3
 
 
 def test_patterns_dir_override(doubled_v2_dir, trefoil):

@@ -251,6 +251,15 @@ def test_v3_vanishes_at_degree_four():
         assert ws.evaluate(d) == 0
 
 
+def test_induced_weight_system_cost_limit(monkeypatch):
+    def unreachable(d):
+        raise AssertionError("realized a diagram past the cost limit")
+
+    monkeypatch.setattr(weights, "realize_chord_diagram", unreachable)
+    with pytest.raises(TooLarge, match=r"665,280 .* limit is degree 5"):
+        weight_from_invariant(v2, 6, "v2@6")
+
+
 def test_derived_weight_systems_pass_relations():
     for fn, n in ((v2, 2), (v3, 3)):
         report = check_relations(weight_from_invariant(fn, n, "derived"))
