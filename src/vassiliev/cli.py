@@ -152,10 +152,7 @@ def _weight_system(args, registry):
 
 def cmd_weights(args, registry) -> int:
     ws = _weight_system(args, registry)
-    rows = [
-        {"diagram": chord_word(d), "value": _rat(ws.evaluate(d))}
-        for d in enumerate_chord_diagrams(args.degree)
-    ]
+    rows = [{"diagram": chord_word(d), "value": _rat(value)} for d, value in ws.table.items()]
     report = check_relations(ws)
     if args.format == "json":
         doc = {
@@ -239,8 +236,8 @@ def _suite_weights(args, registry):
         degree, fn = registry[name]
         for n in range(degree, max(references) + 1):
             derived = weight_from_invariant(fn, n, f"{name}@{n}")
-            for d in enumerate_chord_diagrams(n):
-                got, want = derived.evaluate(d), references[n](d) if n == degree else 0
+            for d, got in derived.table.items():
+                want = references[n](d) if n == degree else 0
                 if got != want:
                     return False, f"{name} weight at degree {n} is {got} on {chord_word(d)}, want {want}"
                 checks += 1
@@ -286,10 +283,9 @@ def _suite_invariance(args, registry):
 
     for record in corpus:
         report = invariant_report(record.code, registry)
-        if not report.v2_consistent:
-            return False, f"{record.name}: v2 methods disagree"
-        if not report.v3_consistent:
-            return False, f"{record.name}: v3 methods disagree"
+        for degree, agree in report.agreement.items():
+            if not agree:
+                return False, f"{record.name}: v{degree} methods disagree"
         values = baseline[record.name] = report.values
         for k in range(1, len(record.code.passages)):
             column = changed(rotate_basepoint(record.code, k), values)
@@ -347,6 +343,13 @@ def cmd_verify(args, registry) -> int:
     return 1 if failed else 0
 
 
+def _non_negative(text: str) -> int:
+    """verify's --perturbations and --degree: an integer, at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vassiliev",
@@ -376,9 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p, code_input=False)
     add_patterns(p)
     p.add_argument("--suite", choices=["all", *sorted(_SUITES)], default="all")
-    p.add_argument("--perturbations", type=int, default=200)
+    p.add_argument("--perturbations", type=_non_negative, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=_non_negative, default=3)
     p.set_defaults(func=cmd_verify, code=None)
 
     p = sub.add_parser("coords", help="per-crossing first-passage and sign table")

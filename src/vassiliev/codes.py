@@ -229,11 +229,14 @@ def _parse(text: str, kind: type) -> Union[GaussCode, SingularCode]:
         for k in (Passage, DoublePointPassage)
         for rank, label in enumerate(raw._labels(k), start=1)
     }
-    return kind(tuple(
+    code = kind(tuple(
         Passage(new[Passage, p.label], p.role, p.sign) if type(p) is Passage
         else DoublePointPassage(new[DoublePointPassage, p.label], p.visit)
         for p in passages
     ))
+    # the pairing table is the raw code's under the new labels: hand it over
+    code.__dict__["ends"] = {(k, new[k, label]): hits for (k, label), hits in raw.ends.items()}
+    return code
 
 
 def parse_gauss_code(text: str) -> GaussCode:

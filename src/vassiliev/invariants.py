@@ -39,8 +39,9 @@ V3_SIGN = -1
 
 # The triple summand below is not symmetric in (x, y, z) although the
 # sum runs over unordered triples, so a role assignment is needed.  The
-# committed reading orders each triple by first passage; the two
-# plausible alternatives fail calibration (see select_role_convention).
+# committed reading takes each triple in first-passage order, the order
+# of code.crossings; the two plausible alternatives sum over all six
+# assignments and fail calibration (see select_role_convention).
 V3_ROLE_CONVENTION = "first-passage"
 ROLE_CONVENTIONS = ("first-passage", "ordered-averaged", "ordered-unaveraged")
 
@@ -56,50 +57,41 @@ def _integral(value: Fraction, what: str) -> int:
 
 
 def v2_lannes(code: GaussCode) -> int:
-    """Degree 2 invariant as a coordinate sum over crossing pairs."""
+    """Degree 2 invariant as a coordinate sum over crossing pairs: a pair
+    with dx != dy contributes -w2 * ex * ey, any other pair nothing."""
     labels = code.crossings
     dl = {l: delta(code, l) for l in labels}
     ep = {l: epsilon(code, l) for l in labels}
     total = 0
     for x, y in combinations(labels, 2):
-        weight = w2(chord_subdiagram(code, (x, y)))
-        if not weight:
-            continue
-        dx, dy = dl[x], dl[y]
-        front = dx * (1 - dy) + dy * (1 - dx)
-        if not front:
-            continue
-        total += (-1) ** (dx + dy) * weight * ep[x] * ep[y] * front
+        if dl[x] != dl[y]:
+            total -= ep[x] * ep[y] * w2(chord_subdiagram(code, (x, y)))
     return _integral(Fraction(V2_SIGN * total, 2), "half the pair sum")
 
 
-def _v3_summand(dl, ep, weight, x, y, z) -> int:
-    dx, dy, dz = dl[x], dl[y], dl[z]
-    front = dy * (1 - dx) * (1 - dz) - dx * dz * (1 - dy)
-    if not front:
-        return 0
-    return (-1) ** (dx + dy + dz) * weight * ep[x] * ep[y] * ep[z] * front
-
-
 def v3_lannes(code: GaussCode, role_convention: Optional[str] = None) -> int:
-    """Degree 3 invariant as a coordinate sum over crossing triples."""
+    """Degree 3 invariant as a coordinate sum over crossing triples: roles
+    (x, y, z) with dx = dz != dy contribute -w3 * ex * ey * ez, any
+    others nothing.  A triple is weighed only when that factor, summed
+    over its role assignments, is nonzero."""
     convention = role_convention or V3_ROLE_CONVENTION
     if convention not in ROLE_CONVENTIONS:
         raise CalibrationUnresolved(f"unknown role convention {convention!r}")
     labels = code.crossings
     dl = {l: delta(code, l) for l in labels}
     ep = {l: epsilon(code, l) for l in labels}
-    first = {l: code.positions(l)[0] for l in labels}
+
+    def factor(x: str, y: str, z: str) -> int:
+        return -ep[x] * ep[y] * ep[z] if dl[x] == dl[z] != dl[y] else 0
+
     total = 0
     for trip in combinations(labels, 3):
-        weight = w3(chord_subdiagram(code, trip))
-        if not weight:
-            continue
         if convention == "first-passage":
-            x, y, z = sorted(trip, key=first.__getitem__)
-            total += _v3_summand(dl, ep, weight, x, y, z)
+            f = factor(*trip)
         else:
-            total += sum(_v3_summand(dl, ep, weight, *p) for p in permutations(trip))
+            f = sum(factor(*p) for p in permutations(trip))
+        if f:
+            total += f * w3(chord_subdiagram(code, trip))
     scale = Fraction(1, 12) if convention == "ordered-averaged" else Fraction(1, 2)
     return _integral(V3_SIGN * scale * total, "the triple sum")
 
@@ -193,15 +185,15 @@ def methods(patterns_dir=None) -> Registry:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """All five method values for one code, plus agreement flags."""
+    """All five method values for one code, and per degree, ascending,
+    whether the methods of that degree agree."""
 
     values: Dict[str, int]
-    v2_consistent: bool
-    v3_consistent: bool
+    agreement: Dict[int, bool]
 
     @property
     def consistent(self) -> bool:
-        return self.v2_consistent and self.v3_consistent
+        return all(self.agreement.values())
 
 
 def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> InvariantReport:
@@ -213,7 +205,7 @@ def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> Invari
     seen: Dict[int, set] = {}
     for name, value in values.items():
         seen.setdefault(registry[name][0], set()).add(value)
-    return InvariantReport(values, len(seen[2]) == 1, len(seen[3]) == 1)
+    return InvariantReport(values, {degree: len(seen[degree]) == 1 for degree in sorted(seen)})
 
 
 def select_role_convention(corpus: Optional[Sequence[KnotRecord]] = None) -> str:

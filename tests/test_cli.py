@@ -122,6 +122,14 @@ def test_patterns_dir_reaches_every_verify_suite(capsys, doubled_v2_dir):
     assert failed == {"calibration", "weights", "expansion", "invariance"}
 
 
+def test_invariance_names_the_disagreeing_degree(capsys, doubled_v2_dir):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "invariance", "--patterns-dir", str(doubled_v2_dir),
+    )
+    assert code == 1
+    assert out == "FAIL invariance: 3_1: v2 methods disagree\n"
+
+
 def test_patterns_dir_missing_file_refused(capsys, doubled_v2_dir):
     code, out, err = run(capsys, "compute", "--method", "lannes", "--patterns-dir", "/nonexistent")
     assert code == 2 and out == ""
@@ -185,6 +193,18 @@ def test_verify_bad_suite_name(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "invariance", "--perturbations", "-5"],
+    ["--suite", "realization", "--degree", "-3"],
+])
+def test_verify_refuses_negative_counts(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "non-negative" in captured.err
 
 
 def test_verify_fails_on_broken_table(capsys, tmp_path):

@@ -106,10 +106,18 @@ def test_positions_unknown_label(trefoil):
 
 
 def test_pairing_table_is_not_a_field(trefoil):
-    twin = parse_gauss_code(TREFOIL)
+    twin = GaussCode(trefoil.passages)  # built directly: no table yet
     assert trefoil.positions("2") == (1, 4)
     assert twin == trefoil and hash(twin) == hash(trefoil)
     assert "ends" in vars(trefoil) and "ends" not in vars(twin)
+
+
+def test_parse_hands_over_the_pairing_table():
+    for code in (parse_gauss_code("Ox- Uzz+ Ux- Ozz+"), parse_gauss_code(TREFOIL),
+                 parse_singular_code("X9a O2+ X9b U2+")):
+        assert "ends" in vars(code)  # seeded by the parse, not built on demand
+        fresh = type(code)(code.passages)
+        assert list(vars(code)["ends"].items()) == list(fresh.ends.items())
 
 
 def test_parse_singular_tokens():

@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vassiliev import (
     INVARIANTS,
     bundled_expansion,
     check_expansion,
+    chord_subdiagram,
+    delta,
+    epsilon,
     invariant_report,
     methods,
     mirror,
@@ -20,6 +26,8 @@ from vassiliev import (
     v3_lannes,
     v3_polyak_viro,
     v3_theorem,
+    w2,
+    w3,
 )
 from vassiliev import invariants
 from vassiliev.errors import (
@@ -30,6 +38,7 @@ from vassiliev.errors import (
 from vassiliev.invariants import REPORT_COLUMNS
 
 from conftest import TREFOIL
+from test_codes import random_code
 
 ALL_METHODS = (v2_lannes, v2_polyak_viro, v3_lannes, v3_polyak_viro, v3_theorem)
 
@@ -91,7 +100,7 @@ def test_connected_sum_additivity(corpus):
 def test_report_shape(trefoil):
     report = invariant_report(trefoil)
     assert set(report.values) == set(REPORT_COLUMNS)
-    assert report.v2_consistent and report.v3_consistent and report.consistent
+    assert report.agreement[2] and report.agreement[3] and report.consistent
 
 
 def test_half_sum_can_fail_on_virtual_codes():
@@ -129,7 +138,7 @@ def test_patterns_dir_needs_every_file(doubled_v2_dir):
 def test_report_rule_is_agreement_within_degree(doubled_v2_dir, trefoil):
     report = invariant_report(trefoil, methods(doubled_v2_dir))
     assert report.values["v2_pv"] == 2 and report.values["v2_lannes"] == 1
-    assert not report.v2_consistent and report.v3_consistent
+    assert not report.agreement[2] and report.agreement[3]
 
 
 # -- committed calibration choices, locked in place ---------------------------
@@ -168,3 +177,74 @@ def test_committed_signs_reproduce_calibration_and_agreement(trefoil, corpus):
     assert v2_lannes(trefoil) == 1 and v3_lannes(trefoil) == 1
     for record in corpus:
         assert invariant_report(record.code).consistent
+
+
+# -- the closed forms against the transcribed sums -----------------------------
+#
+# The Lannes sums as first transcribed: every pair and triple is weighed,
+# then multiplied by its front product and (-1) power, and a triple takes
+# its roles by sorting on first passage.
+
+def _transcribed_v2(code) -> Fraction:
+    labels = code.crossings
+    dl = {l: delta(code, l) for l in labels}
+    ep = {l: epsilon(code, l) for l in labels}
+    total = 0
+    for x, y in combinations(labels, 2):
+        weight = w2(chord_subdiagram(code, (x, y)))
+        dx, dy = dl[x], dl[y]
+        front = dx * (1 - dy) + dy * (1 - dx)
+        total += (-1) ** (dx + dy) * weight * ep[x] * ep[y] * front
+    return Fraction(invariants.V2_SIGN * total, 2)
+
+
+def _transcribed_v3(code, convention) -> Fraction:
+    labels = code.crossings
+    dl = {l: delta(code, l) for l in labels}
+    ep = {l: epsilon(code, l) for l in labels}
+    first = {l: code.positions(l)[0] for l in labels}
+
+    def summand(weight, x, y, z):
+        dx, dy, dz = dl[x], dl[y], dl[z]
+        front = dy * (1 - dx) * (1 - dz) - dx * dz * (1 - dy)
+        return (-1) ** (dx + dy + dz) * weight * ep[x] * ep[y] * ep[z] * front
+
+    total = 0
+    for trip in combinations(labels, 3):
+        weight = w3(chord_subdiagram(code, trip))
+        if convention == "first-passage":
+            total += summand(weight, *sorted(trip, key=first.__getitem__))
+        else:
+            total += sum(summand(weight, *p) for p in permutations(trip))
+    scale = Fraction(1, 12) if convention == "ordered-averaged" else Fraction(1, 2)
+    return invariants.V3_SIGN * scale * total
+
+
+def _agrees(evaluate, want: Fraction) -> None:
+    """Equal values, or NonIntegerResult where the transcription is not
+    an integer."""
+    if want.denominator == 1:
+        assert evaluate() == want
+    else:
+        with pytest.raises(NonIntegerResult):
+            evaluate()
+
+
+@given(st.integers(0, 10 ** 6))
+def test_closed_forms_match_the_transcribed_sums(seed):
+    code = random_code(random.Random(seed), max_crossings=7)  # mostly virtual
+    _agrees(lambda: v2_lannes(code), _transcribed_v2(code))
+    for convention in invariants.ROLE_CONVENTIONS:
+        _agrees(lambda: v3_lannes(code, convention), _transcribed_v3(code, convention))
+
+
+def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
+    fig8 = parse_gauss_code("O1+ U2- O4- U1+ O3+ U4- O2- U3+")
+    assert [delta(fig8, l) for l in fig8.crossings] == [1, 0, 1, 1]
+    weighed = []
+    for name in ("w2", "w3"):
+        weight = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda d, w=weight: weighed.append(d.degree) or w(d))
+    assert v2_lannes(fig8) == -1 and v3_lannes(fig8) == 0
+    # pairs with dx != dy: (1,2), (2,3), (2,4); triples with dx = dz != dy: (1,2,3), (1,2,4)
+    assert weighed.count(2) == 3 and weighed.count(3) == 2
