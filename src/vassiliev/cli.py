@@ -31,7 +31,7 @@ from .codes import (
 )
 from .coordinates import coordinate_table
 from .diagrams import double_point_diagram
-from .errors import NonPlanarCode, VassilievError, WrongDegree
+from .errors import NonPlanarCode, TooLarge, VassilievError, WrongDegree
 from .expansion import bundled_expansion, check_expansion, load_expansion, solve_basis_values
 from .invariants import (
     CANONICAL,
@@ -305,15 +305,16 @@ def _suite_invariance(args, registry):
 
 
 def _suite_realization(args, registry):
-    top = min(args.degree, MAX_ENUM_DEGREE)
+    if args.degree > MAX_ENUM_DEGREE:
+        raise TooLarge(f"the realization suite enumerates at most degree {MAX_ENUM_DEGREE}, got --degree {args.degree}")
     count = 0
-    for degree in range(top + 1):
+    for degree in range(args.degree + 1):
         for d in enumerate_chord_diagrams(degree):
             code = realize_chord_diagram(d)
             if double_point_diagram(code) != d:
                 return False, f"round trip failed on {chord_word(d)}"
             count += 1
-    return True, f"{count} diagrams through degree {top}"
+    return True, f"{count} diagrams through degree {args.degree}"
 
 
 _SUITES = {

@@ -408,23 +408,6 @@ def is_realizable(code: Union[GaussCode, SingularCode]) -> bool:
     return embedding_genus(code) == 0
 
 
-def has_even_interlacement(code: GaussCode) -> bool:
-    """Necessary planarity condition: every chord meets evenly many others.
-
-    Weaker than is_realizable but independent of it, which makes it a
-    useful cross-check.
-    """
-    spans = [sorted(code.positions(l)) for l in code.crossings]
-    for i, (a1, a2) in enumerate(spans):
-        count = 0
-        for j, (b1, b2) in enumerate(spans):
-            if i != j and (a1 < b1 < a2) != (a1 < b2 < a2):
-                count += 1
-        if count % 2:
-            return False
-    return True
-
-
 # Which face-trace direction corresponds to parallel strands for the two
 # insertion cases is fixed once by calibration on small realizable codes
 # (exhaustive sign search on the trefoil); see tests covering insertion

@@ -20,6 +20,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence, Union
 
 from .codes import DoublePointPassage, GaussCode, OVER, SingularCode
@@ -51,6 +54,14 @@ def _check_positions(pairs: Iterable[tuple[int, int]]) -> None:
         )
 
 
+def _ends(arrows: Sequence[tuple[int, int]]) -> list[tuple[int, str]]:
+    """(arrow index, "t" or "h") at each position of (tail, head) pairs."""
+    at: list = [None] * (2 * len(arrows))
+    for i, (t, h) in enumerate(arrows):
+        at[t], at[h] = (i, "t"), (i, "h")
+    return at
+
+
 @dataclass(frozen=True)
 class ArrowDiagram:
     """Arrows on 2n based circle positions, every position used once."""
@@ -66,6 +77,17 @@ class ArrowDiagram:
     @property
     def degree(self) -> int:
         return len(self.arrows)
+
+    @cached_property
+    def masks(self) -> tuple[list[tuple[int, str]], list[int], list[int], int, int]:
+        """For the matcher: the endpoint at each position; as bitmasks, the
+        arrows with tail, and with head, before p in 0..2n; forward; +1."""
+        at = _ends([(a.tail, a.head) for a in self.arrows])
+        tails = list(accumulate(((kind == "t") << d for d, kind in at), or_, initial=0))
+        heads = list(accumulate(((kind == "h") << d for d, kind in at), or_, initial=0))
+        forward = sum((a.tail < a.head) << d for d, a in enumerate(self.arrows))
+        positive = sum((a.sign > 0) << d for d, a in enumerate(self.arrows))
+        return at, tails, heads, forward, positive
 
 
 @dataclass(frozen=True)
@@ -84,17 +106,20 @@ class Pattern:
 
     def word(self) -> str:
         """Canonical endpoint word, labels by first appearance."""
-        at: dict[int, tuple[int, str]] = {}
-        for i, (t, h) in enumerate(self.arrows):
-            at[t] = (i, "t")
-            at[h] = (i, "h")
         order: dict[int, int] = {}
-        toks = []
-        for pos in range(2 * len(self.arrows)):
-            idx, kind = at[pos]
-            rank = order.setdefault(idx, len(order) + 1)
-            toks.append(f"{rank}{kind}")
-        return " ".join(toks)
+        return " ".join(f"{order.setdefault(i, len(order) + 1)}{kind}" for i, kind in _ends(self.arrows))
+
+    @cached_property
+    def split(self) -> tuple[list[tuple[int, str]], tuple[int, int, int, int], bool]:
+        """For the matcher, which leaves the last arrow (whose first endpoint
+        comes last) to masks: the endpoint at each position; around its tail,
+        then its head, the nearest other endpoint positions, -1 and 2k at
+        the ends; whether it points forward."""
+        at = _ends(self.arrows)
+        *_, (tail, head) = self.arrows
+        others = [-1] + [p for p, (a, _) in enumerate(at) if a < len(self.arrows) - 1] + [len(at)]
+        gaps = [(max(p for p in others if p < end), min(p for p in others if p > end)) for end in (tail, head)]
+        return at, gaps[0] + gaps[1], tail < head
 
     def rotate(self, k: int) -> "Pattern":
         """Move the basepoint forward past k endpoints."""
@@ -211,50 +236,49 @@ def count_matches(pattern: Pattern, diagram: ArrowDiagram) -> int:
     A copy is a subset of the diagram's arrows whose endpoint word,
     read from the basepoint, equals the pattern's word with directions
     respected.  Each copy contributes the product of its arrow signs.
+    Arrows but the last are placed by backtracking at rising positions, so
+    none twice; the last lies in known gaps and is counted by masks.
     """
     k = pattern.degree
     if k == 0:
         return 1
     if k > diagram.degree:
         return 0
-    pat_at: dict[int, tuple[int, str]] = {}
-    for a, (t, h) in enumerate(pattern.arrows):
-        pat_at[t] = (a, "t")
-        pat_at[h] = (a, "h")
+    pat_at, (t_lo, t_hi, h_lo, h_hi), forward = pattern.split
+    dia_at, tails, heads, forward_mask, positive = diagram.masks
+    direction = forward_mask if forward else ~forward_mask
     size = 2 * diagram.degree
-    dia_at: list[tuple[int, str]] = [(-1, "")] * size
-    for d, arrow in enumerate(diagram.arrows):
-        dia_at[arrow.tail] = (d, "t")
-        dia_at[arrow.head] = (d, "h")
-
+    placed = [0] * (2 * k) + [size, -1]  # per pattern position, then the two ends
     total = 0
     assign: dict[int, int] = {}
-    used = [False] * diagram.degree
 
     def walk(i: int, q0: int, sign: int) -> None:
         nonlocal total
         if i == 2 * k:
-            total += sign
+            last = tails[placed[t_hi]] ^ tails[placed[t_lo] + 1]
+            last &= (heads[placed[h_hi]] ^ heads[placed[h_lo] + 1]) & direction
+            total += sign * (2 * (last & positive).bit_count() - last.bit_count())
             return
         a, kind = pat_at[i]
+        if a == k - 1:
+            walk(i + 1, q0 + 1, sign)
+            return
         if a in assign:
             arrow = diagram.arrows[assign[a]]
             q = arrow.tail if kind == "t" else arrow.head
             if q >= q0:
+                placed[i] = q
                 walk(i + 1, q + 1, sign)
             return
         for q in range(q0, size - (2 * k - i) + 1):
             d, dkind = dia_at[q]
-            if used[d] or dkind != kind:
-                continue
             arrow = diagram.arrows[d]
-            if max(arrow.tail, arrow.head) == q:
+            if dkind != kind or max(arrow.tail, arrow.head) == q:
                 continue
             assign[a] = d
-            used[d] = True
+            placed[i] = q
             walk(i + 1, q + 1, sign * arrow.sign)
             del assign[a]
-            used[d] = False
 
     walk(0, 0, 1)
     return total
@@ -265,6 +289,12 @@ class PatternTerm:
     coeff: Fraction
     bracket: bool
     pattern: Pattern
+
+    @cached_property
+    def patterns(self) -> tuple[Pattern, ...]:
+        """The based patterns the term counts: every distinct rotation of
+        a bracketed pattern, else the pattern itself.  Expanded once."""
+        return self.pattern.distinct_rotations() if self.bracket else (self.pattern,)
 
 
 @dataclass(frozen=True)
@@ -291,8 +321,7 @@ def evaluate_expression(
         target = arrow_diagram_from_code(target)
     total = Fraction(0)
     for term in expr.terms:
-        pats = term.pattern.distinct_rotations() if term.bracket else (term.pattern,)
-        total += term.coeff * sum(count_matches(p, target) for p in pats)
+        total += term.coeff * sum(count_matches(p, target) for p in term.patterns)
     return total
 
 

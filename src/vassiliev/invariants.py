@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations, permutations
+from itertools import accumulate
+from operator import xor
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -56,42 +57,68 @@ def _integral(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def _table(code: GaussCode) -> tuple[tuple[str, ...], int, int, int, list[int]]:
+    """The crossings in first-passage order; as bitmasks over them, delta 1,
+    delta 0, sign +1, and per crossing the chords with one end in its span."""
+    labels = code.crossings
+    spans = [code.positions(l) for l in labels]
+    index = {l: i for i, l in enumerate(labels)}
+    opened = list(accumulate((1 << index[p.label] for p in code), xor, initial=0))  # one end before p
+    over = sum(delta(code, l) << i for i, l in enumerate(labels))
+    positive = sum((epsilon(code, l) > 0) << i for i, l in enumerate(labels))
+    under = ((1 << len(labels)) - 1) & ~over
+    return labels, over, under, positive, [opened[a + 1] ^ opened[b] for a, b in spans]
+
+
+def _weighed_sum(code: GaussCode, labels, positive: int, weight, parts) -> int:
+    """Sum of factor * weight * ey over tuples given as (class, ends,
+    factor, mask of y).  The weight depends only on which chords cross, the
+    class, so each class is weighed once: on its first y, between the ends."""
+    classes: dict = {}
+    for key, ends, factor, ys in parts:
+        if ys:
+            if key not in classes:
+                classes[key] = [(ends[0], (ys & -ys).bit_length() - 1, *ends[1:]), 0]
+            classes[key][1] += factor * (2 * (ys & positive).bit_count() - ys.bit_count())
+    return sum(weight(chord_subdiagram(code, [labels[i] for i in t])) * f for t, f in classes.values())
+
+
 def v2_lannes(code: GaussCode) -> int:
     """Degree 2 invariant as a coordinate sum over crossing pairs: a pair
     with dx != dy contributes -w2 * ex * ey, any other pair nothing."""
-    labels = code.crossings
-    dl = {l: delta(code, l) for l in labels}
-    ep = {l: epsilon(code, l) for l in labels}
-    total = 0
-    for x, y in combinations(labels, 2):
-        if dl[x] != dl[y]:
-            total -= ep[x] * ep[y] * w2(chord_subdiagram(code, (x, y)))
+    labels, over, under, positive, rows = _table(code)
+    parts = (
+        (crossed, (x,), 1 - 2 * (positive >> x & 1), under & (rows[x] if crossed else ~rows[x]))  # -ex
+        for x in range(len(labels)) if over >> x & 1 for crossed in (True, False)
+    )
+    total = _weighed_sum(code, labels, positive, w2, parts)
     return _integral(Fraction(V2_SIGN * total, 2), "half the pair sum")
 
 
 def v3_lannes(code: GaussCode, role_convention: Optional[str] = None) -> int:
     """Degree 3 invariant as a coordinate sum over crossing triples: roles
     (x, y, z) with dx = dz != dy contribute -w3 * ex * ey * ez, any
-    others nothing.  A triple is weighed only when that factor, summed
-    over its role assignments, is nonzero."""
+    others nothing.  In first-passage order y lies between x and z; the
+    other conventions take any y and count each (x, z) in both orders."""
     convention = role_convention or V3_ROLE_CONVENTION
     if convention not in ROLE_CONVENTIONS:
         raise CalibrationUnresolved(f"unknown role convention {convention!r}")
-    labels = code.crossings
-    dl = {l: delta(code, l) for l in labels}
-    ep = {l: epsilon(code, l) for l in labels}
+    ordered = convention != "first-passage"
+    labels, over, under, positive, rows = _table(code)
 
-    def factor(x: str, y: str, z: str) -> int:
-        return -ep[x] * ep[y] * ep[z] if dl[x] == dl[z] != dl[y] else 0
+    def parts():
+        for x in range(len(labels)):
+            dx = over >> x & 1
+            others = under if dx else over
+            for z in range(x + 1, len(labels)):
+                if over >> z & 1 == dx:
+                    ys = others if ordered else others & ((1 << z) - (2 << x))
+                    factor = 2 * ((positive >> x ^ positive >> z) & 1) - 1  # -ex * ez
+                    for xy, near in ((1, ys & rows[x]), (0, ys & ~rows[x])):
+                        for yz, part in ((1, near & rows[z]), (0, near & ~rows[z])):
+                            yield (rows[x] >> z & 1, xy, yz), (x, z), factor, part
 
-    total = 0
-    for trip in combinations(labels, 3):
-        if convention == "first-passage":
-            f = factor(*trip)
-        else:
-            f = sum(factor(*p) for p in permutations(trip))
-        if f:
-            total += f * w3(chord_subdiagram(code, trip))
+    total = _weighed_sum(code, labels, positive, w3, parts()) * (2 if ordered else 1)
     scale = Fraction(1, 12) if convention == "ordered-averaged" else Fraction(1, 2)
     return _integral(V3_SIGN * scale * total, "the triple sum")
 

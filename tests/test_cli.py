@@ -207,6 +207,15 @@ def test_verify_refuses_negative_counts(capsys, argv):
     assert "non-negative" in captured.err
 
 
+def test_verify_refuses_realization_past_the_enumeration_limit(capsys, monkeypatch):
+    from vassiliev import cli
+
+    monkeypatch.setattr(cli, "enumerate_chord_diagrams", lambda n: pytest.fail("enumerated"))
+    code, out, err = run(capsys, "verify", "--suite", "realization", "--degree", "9")
+    assert code == 2 and out == ""
+    assert "at most degree 6" in err
+
+
 def test_verify_fails_on_broken_table(capsys, tmp_path):
     # a wrong expected value does not matter; an inconsistent corpus for
     # expansion checking does: name 3_1 bound to the figure-eight code

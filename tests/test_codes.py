@@ -24,7 +24,6 @@ from vassiliev import (
     validate,
 )
 from vassiliev import codes
-from vassiliev.codes import has_even_interlacement
 from vassiliev.errors import (
     CheckFailed,
     IndexOutOfRange,
@@ -313,6 +312,23 @@ def test_realizability_of_fixtures_and_controls(corpus):
     for record in corpus:
         assert is_realizable(record.code), record.name
     assert not is_realizable(parse_gauss_code(ABAB))
+
+
+def has_even_interlacement(code: GaussCode) -> bool:
+    """Necessary planarity condition: every chord meets evenly many others.
+
+    Weaker than is_realizable but independent of it, which makes it a
+    useful cross-check.
+    """
+    spans = [sorted(code.positions(l)) for l in code.crossings]
+    for i, (a1, a2) in enumerate(spans):
+        count = 0
+        for j, (b1, b2) in enumerate(spans):
+            if i != j and (a1 < b1 < a2) != (a1 < b2 < a2):
+                count += 1
+        if count % 2:
+            return False
+    return True
 
 
 def test_even_interlacement_matches_genus_criterion():

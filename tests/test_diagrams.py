@@ -16,6 +16,7 @@ from vassiliev import (
     chord_subdiagram,
     count_matches,
     double_point_diagram,
+    enumerate_chord_diagrams,
     evaluate_expression,
     interleaved,
     parse_gauss_code,
@@ -72,7 +73,7 @@ def random_diagram(rng, max_arrows=8) -> ArrowDiagram:
     return ArrowDiagram(tuple(arrows))
 
 
-def random_pattern(rng, max_arrows=3) -> Pattern:
+def random_pattern(rng, max_arrows=4) -> Pattern:
     n = rng.randint(1, max_arrows)
     slots = list(range(2 * n))
     rng.shuffle(slots)
@@ -228,6 +229,27 @@ def test_matcher_agrees_with_oracle_property(seed):
     diagram = random_diagram(rng, max_arrows=5)
     pattern = random_pattern(rng)
     assert count_matches(pattern, diagram) == oracle_count(pattern, diagram)
+
+
+def based_patterns(k: int) -> list[Pattern]:
+    """Every based pattern with k arrows: each chord diagram, each way of
+    directing its chords."""
+    return [
+        Pattern(tuple((a, b) if forward else (b, a) for (a, b), forward in zip(d.chords, flags)))
+        for d in enumerate_chord_diagrams(k)
+        for flags in itertools.product((True, False), repeat=k)
+    ]
+
+
+def test_matcher_agrees_with_oracle_on_every_small_pattern():
+    patterns = [p for k in range(4) for p in based_patterns(k)]
+    assert len(patterns) == 135
+    rng = random.Random(3)
+    diagrams = [d for d in (random_diagram(rng, max_arrows=6) for _ in range(20)) if d.degree >= 5]
+    assert len(diagrams) >= 4
+    for diagram in diagrams[:4]:
+        for pattern in patterns:
+            assert count_matches(pattern, diagram) == oracle_count(pattern, diagram)
 
 
 def test_empty_diagram_counts():

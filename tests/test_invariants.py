@@ -39,6 +39,7 @@ from vassiliev.invariants import REPORT_COLUMNS
 
 from conftest import TREFOIL
 from test_codes import random_code
+from _braids import braid_closure, is_knot
 
 ALL_METHODS = (v2_lannes, v2_polyak_viro, v3_lannes, v3_polyak_viro, v3_theorem)
 
@@ -238,13 +239,48 @@ def test_closed_forms_match_the_transcribed_sums(seed):
         _agrees(lambda: v3_lannes(code, convention), _transcribed_v3(code, convention))
 
 
+def _closure(seed: int, crossings: int):
+    """A seeded 3-strand braid closure that is a knot."""
+    rng = random.Random(seed)
+    while True:
+        word = [rng.choice((1, -1, 2, -2)) for _ in range(crossings)]
+        if is_knot(word):
+            return braid_closure(word)
+
+
+def test_closed_forms_match_the_transcribed_sums_on_a_braid_closure():
+    code = _closure(3, 40)
+    assert len(code.crossings) == 40 and (v2_lannes(code), v3_lannes(code)) == (14, 49)
+    _agrees(lambda: v2_lannes(code), _transcribed_v2(code))
+    for convention in invariants.ROLE_CONVENTIONS:
+        _agrees(lambda: v3_lannes(code, convention), _transcribed_v3(code, convention))
+
+
 def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
     fig8 = parse_gauss_code("O1+ U2- O4- U1+ O3+ U4- O2- U3+")
     assert [delta(fig8, l) for l in fig8.crossings] == [1, 0, 1, 1]
+    spanned = {}  # id of each chord_subdiagram result -> its labels
     weighed = []
+
+    def subdiagram(code, labels):
+        d = chord_subdiagram(code, labels)
+        spanned[id(d)] = tuple(labels)
+        return d
+
+    monkeypatch.setattr(invariants, "chord_subdiagram", subdiagram)
     for name in ("w2", "w3"):
         weight = getattr(invariants, name)
-        monkeypatch.setattr(invariants, name, lambda d, w=weight: weighed.append(d.degree) or w(d))
-    assert v2_lannes(fig8) == -1 and v3_lannes(fig8) == 0
-    # pairs with dx != dy: (1,2), (2,3), (2,4); triples with dx = dz != dy: (1,2,3), (1,2,4)
-    assert weighed.count(2) == 3 and weighed.count(3) == 2
+        monkeypatch.setattr(invariants, name, lambda d, w=weight: weighed.append(spanned[id(d)]) or w(d))
+    for code, values in ((fig8, (-1, 0)), (_closure(60, 60), (4, 4))):
+        weighed.clear()
+        assert (v2_lannes(code), v3_lannes(code)) == values
+        dl = {l: delta(code, l) for l in code.crossings}
+        first = {l: code.positions(l)[0] for l in code.crossings}
+        pairs = [t for t in weighed if len(t) == 2]
+        triples = [sorted(t, key=first.__getitem__) for t in weighed if len(t) == 3]
+        # only contributing tuples are weighed: pairs with dx != dy, and
+        # triples, in first-passage order, with dx = dz != dy
+        assert all(dl[x] != dl[y] for x, y in pairs)
+        assert all(dl[x] == dl[z] != dl[y] for x, y, z in triples)
+        # and each class of tuples with the same chords crossing only once
+        assert 1 <= len(pairs) <= 2 and 1 <= len(triples) <= 8
