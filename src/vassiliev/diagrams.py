@@ -79,15 +79,17 @@ class ArrowDiagram:
         return len(self.arrows)
 
     @cached_property
-    def masks(self) -> tuple[list[tuple[int, str]], list[int], list[int], int, int]:
-        """For the matcher: the endpoint at each position; as bitmasks, the
-        arrows with tail, and with head, before p in 0..2n; forward; +1."""
+    def masks(self) -> tuple[list[int], list[int], int, int]:
+        """For the matcher, as bitmasks over the arrows: per position p in
+        0..2n, the arrows with tail, and with head, before p, so the arrows
+        with tail strictly between positions a and b are
+        tails[b] ^ tails[a + 1]; the forward arrows; the +1 arrows."""
         at = _ends([(a.tail, a.head) for a in self.arrows])
         tails = list(accumulate(((kind == "t") << d for d, kind in at), or_, initial=0))
         heads = list(accumulate(((kind == "h") << d for d, kind in at), or_, initial=0))
         forward = sum((a.tail < a.head) << d for d, a in enumerate(self.arrows))
         positive = sum((a.sign > 0) << d for d, a in enumerate(self.arrows))
-        return at, tails, heads, forward, positive
+        return tails, heads, forward, positive
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,17 @@ class Pattern:
         return " ".join(f"{order.setdefault(i, len(order) + 1)}{kind}" for i, kind in _ends(self.arrows))
 
     @cached_property
-    def split(self) -> tuple[list[tuple[int, str]], tuple[int, int, int, int], bool]:
-        """For the matcher, which leaves the last arrow (whose first endpoint
-        comes last) to masks: the endpoint at each position; around its tail,
-        then its head, the nearest other endpoint positions, -1 and 2k at
-        the ends; whether it points forward."""
-        at = _ends(self.arrows)
-        *_, (tail, head) = self.arrows
-        others = [-1] + [p for p, (a, _) in enumerate(at) if a < len(self.arrows) - 1] + [len(at)]
-        gaps = [(max(p for p in others if p < end), min(p for p in others if p > end)) for end in (tail, head)]
-        return at, gaps[0] + gaps[1], tail < head
+    def plan(self) -> list[tuple[int, int, int, int, int, int, bool]]:
+        """For the matcher, per arrow in first-endpoint order: the nearest
+        endpoint positions of earlier arrows around its tail, then around
+        its head, -1 and 2k at the ends; its tail and head; whether it
+        points forward."""
+        steps, placed = [], [-1, 2 * len(self.arrows)]
+        for tail, head in self.arrows:
+            gaps = [(max(p for p in placed if p < end), min(p for p in placed if p > end)) for end in (tail, head)]
+            steps.append((*gaps[0], *gaps[1], tail, head, tail < head))
+            placed += [tail, head]
+        return steps
 
     def rotate(self, k: int) -> "Pattern":
         """Move the basepoint forward past k endpoints."""
@@ -236,52 +239,36 @@ def count_matches(pattern: Pattern, diagram: ArrowDiagram) -> int:
     A copy is a subset of the diagram's arrows whose endpoint word,
     read from the basepoint, equals the pattern's word with directions
     respected.  Each copy contributes the product of its arrow signs.
-    Arrows but the last are placed by backtracking at rising positions, so
-    none twice; the last lies in known gaps and is counted by masks.
+    Pattern arrows are placed in first-endpoint order, each from one mask:
+    the arrows pointing its way with tail, and head, strictly inside its
+    gaps between the endpoints placed so far.  Strict gaps reuse no arrow
+    and keep the word's order, so the walk visits only partial copies;
+    the last arrow's candidates are counted, not walked.
     """
-    k = pattern.degree
-    if k == 0:
+    plan = pattern.plan
+    if not plan:
         return 1
-    if k > diagram.degree:
-        return 0
-    pat_at, (t_lo, t_hi, h_lo, h_hi), forward = pattern.split
-    dia_at, tails, heads, forward_mask, positive = diagram.masks
-    direction = forward_mask if forward else ~forward_mask
-    size = 2 * diagram.degree
-    placed = [0] * (2 * k) + [size, -1]  # per pattern position, then the two ends
-    total = 0
-    assign: dict[int, int] = {}
+    tails, heads, forward, positive = diagram.masks
+    arrows = diagram.arrows
+    last = len(plan) - 1
+    placed = [0] * (2 * len(plan)) + [2 * len(arrows), -1]  # per pattern position, then the two ends
 
-    def walk(i: int, q0: int, sign: int) -> None:
-        nonlocal total
-        if i == 2 * k:
-            last = tails[placed[t_hi]] ^ tails[placed[t_lo] + 1]
-            last &= (heads[placed[h_hi]] ^ heads[placed[h_lo] + 1]) & direction
-            total += sign * (2 * (last & positive).bit_count() - last.bit_count())
-            return
-        a, kind = pat_at[i]
-        if a == k - 1:
-            walk(i + 1, q0 + 1, sign)
-            return
-        if a in assign:
-            arrow = diagram.arrows[assign[a]]
-            q = arrow.tail if kind == "t" else arrow.head
-            if q >= q0:
-                placed[i] = q
-                walk(i + 1, q + 1, sign)
-            return
-        for q in range(q0, size - (2 * k - i) + 1):
-            d, dkind = dia_at[q]
-            arrow = diagram.arrows[d]
-            if dkind != kind or max(arrow.tail, arrow.head) == q:
-                continue
-            assign[a] = d
-            placed[i] = q
-            walk(i + 1, q + 1, sign * arrow.sign)
-            del assign[a]
+    def walk(j: int) -> int:
+        t_lo, t_hi, h_lo, h_hi, t, h, ahead = plan[j]
+        fits = (tails[placed[t_hi]] ^ tails[placed[t_lo] + 1]) & (heads[placed[h_hi]] ^ heads[placed[h_lo] + 1])
+        fits &= forward if ahead else ~forward
+        if j == last:
+            return 2 * (fits & positive).bit_count() - fits.bit_count()
+        total = 0
+        while fits:
+            bit = fits & -fits
+            fits ^= bit
+            arrow = arrows[bit.bit_length() - 1]
+            placed[t], placed[h] = arrow.tail, arrow.head
+            total += walk(j + 1) * arrow.sign
+        return total
 
-    walk(0, 0, 1)
-    return total
+    return walk(0)
 
 
 @dataclass(frozen=True)

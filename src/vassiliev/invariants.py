@@ -23,6 +23,7 @@ from .codes import GaussCode, KnotRecord, bundled_knot_table
 from .coordinates import delta, epsilon
 from .diagrams import (
     PatternExpression,
+    arrow_diagram_from_code,
     chord_subdiagram,
     evaluate_expression,
     load_pattern_file,
@@ -131,8 +132,18 @@ def _bundled(file: str) -> PatternExpression:
     return parse_pattern_file(text)
 
 
+# The last code the pattern routes counted in and its arrow diagram, so the
+# routes of one report share it; one tuple, read and replaced whole.
+_last: tuple = (None, None)
+
+
 def _count(file: str, expression: PatternExpression, code: GaussCode) -> int:
-    return _integral(evaluate_expression(expression, code), f"the {file} count")
+    global _last
+    last, diagram = _last
+    if last != code:
+        diagram = arrow_diagram_from_code(code)
+        _last = code, diagram
+    return _integral(evaluate_expression(expression, diagram), f"the {file} count")
 
 
 def v2_polyak_viro(code: GaussCode) -> int:

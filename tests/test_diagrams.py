@@ -242,13 +242,20 @@ def based_patterns(k: int) -> list[Pattern]:
 
 
 def test_matcher_agrees_with_oracle_on_every_small_pattern():
-    patterns = [p for k in range(4) for p in based_patterns(k)]
-    assert len(patterns) == 135
+    patterns = [p for k in range(5) for p in based_patterns(k)]
+    assert len(patterns) == 1815
     rng = random.Random(3)
     diagrams = [d for d in (random_diagram(rng, max_arrows=6) for _ in range(20)) if d.degree >= 5]
-    assert len(diagrams) >= 4
-    for diagram in diagrams[:4]:
-        for pattern in patterns:
+    assert sorted(d.degree for d in diagrams[:4]) == [5, 5, 6, 6]
+    # one diagram of each degree 0..3, where the bigger patterns find no room
+    small = {}
+    while len(small) < 4:
+        d = random_diagram(rng, max_arrows=3)
+        small.setdefault(d.degree, d)
+    for diagram in diagrams[:4] + list(small.values()):
+        # every pattern on the 5-arrow and the small diagrams; at 6 arrows
+        # the oracle's permutations make 4-arrow patterns too slow
+        for pattern in patterns if diagram.degree <= 5 else [p for p in patterns if p.degree <= 3]:
             assert count_matches(pattern, diagram) == oracle_count(pattern, diagram)
 
 

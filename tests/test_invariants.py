@@ -284,3 +284,29 @@ def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
         assert all(dl[x] == dl[z] != dl[y] for x, y, z in triples)
         # and each class of tuples with the same chords crossing only once
         assert 1 <= len(pairs) <= 2 and 1 <= len(triples) <= 8
+
+
+def test_routes_agree_on_a_large_braid_closure():
+    code = _closure(160, 160)
+    report = invariant_report(code)
+    assert len(code.crossings) == 160 and report.consistent
+    assert report.values["v3_pv"] == report.values["v3_thm"] == report.values["v3_lannes"] == -186
+
+
+def test_pattern_routes_share_one_arrow_diagram_per_code(monkeypatch, corpus, doubled_v2_dir):
+    built = []
+    build = invariants.arrow_diagram_from_code
+    monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: built.append(code) or build(code))
+    monkeypatch.setattr(invariants, "_last", (None, None))
+    codes = [record.code for record in corpus]
+    last = None
+    for registry, scale in ((INVARIANTS, 1), (methods(doubled_v2_dir), 2)):
+        for code in codes + codes[::-1]:
+            built.clear()
+            values = invariant_report(code, registry).values
+            # one build for the three pattern routes, none for a repeated code
+            assert built == ([] if code == last else [code])
+            last = code
+            # and each code is counted in its own diagram
+            assert values["v2_pv"] == scale * values["v2_lannes"]
+            assert values["v3_pv"] == values["v3_thm"] == values["v3_lannes"]
