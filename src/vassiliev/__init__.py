@@ -64,7 +64,6 @@ from .invariants import (
     InvariantReport,
     invariant_report,
     methods,
-    select_role_convention,
     v2,
     v2_lannes,
     v2_polyak_viro,

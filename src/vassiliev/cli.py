@@ -273,7 +273,9 @@ def _suite_expansion(args, registry):
 
 def _suite_invariance(args, registry):
     corpus = _corpus(args)
-    baseline = {}
+    if not corpus:
+        raise VassilievError("the invariance suite needs at least one knot")
+    baseline = []  # by position: names need not be unique
     checks = 0
 
     def changed(code, want):
@@ -286,7 +288,8 @@ def _suite_invariance(args, registry):
         for degree, agree in report.agreement.items():
             if not agree:
                 return False, f"{record.name}: v{degree} methods disagree"
-        values = baseline[record.name] = report.values
+        values = report.values
+        baseline.append(values)
         for k in range(1, len(record.code.passages)):
             column = changed(rotate_basepoint(record.code, k), values)
             if column:
@@ -294,9 +297,8 @@ def _suite_invariance(args, registry):
             checks += len(values)
     rng = random.Random(args.seed)
     for i in range(args.perturbations):
-        record = corpus[i % len(corpus)]
+        record, values = corpus[i % len(corpus)], baseline[i % len(corpus)]
         perturbed = random_perturbations(record.code, 1, rng)[0]
-        values = baseline[record.name]
         column = changed(perturbed, values)
         if column:
             return False, f"{record.name}: {column} changed under perturbation {i}"

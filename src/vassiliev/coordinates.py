@@ -2,8 +2,8 @@
 
 Each crossing gets two numbers read off the traversal: delta records
 whether the first visit goes over (1) or under (0), epsilon is the
-crossing sign.  The invariant formulas in `invariants` consume nothing
-else about the code.
+crossing sign.  The coordinate sums in `invariants` read these two and,
+from the passage positions, which chords interleave.
 """
 
 from __future__ import annotations

@@ -295,17 +295,13 @@ class PatternExpression:
         return max((t.pattern.degree for t in self.terms), default=0)
 
 
-def evaluate_expression(
-    expr: PatternExpression, target: Union[GaussCode, ArrowDiagram]
-) -> Fraction:
+def evaluate_expression(expr: PatternExpression, target: ArrowDiagram) -> Fraction:
     """Sum of coeff times pattern count over the expression's terms.
 
     A bracketed term counts every distinct basepoint rotation of its
     pattern, which makes the term's value independent of where the
     target code is based.
     """
-    if not isinstance(target, ArrowDiagram):
-        target = arrow_diagram_from_code(target)
     total = Fraction(0)
     for term in expr.terms:
         total += term.coeff * sum(count_matches(p, target) for p in term.patterns)

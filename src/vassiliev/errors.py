@@ -73,10 +73,6 @@ class CheckFailed(VassilievError):
     """A computed result failed a check that guards its correctness."""
 
 
-class CalibrationUnresolved(VassilievError):
-    """A sign or convention constant has not been fixed by calibration."""
-
-
 class ParseError(VassilievError):
     """A structured input file failed to parse.
 

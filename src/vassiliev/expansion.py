@@ -7,9 +7,9 @@ Expansion files are JSON documents:
      "terms": [{"coeff": {"v3": "1"}, "knot": "3_1"},
                {"coeff": {"v3": "1", "v2": "-1"}, "knot": "4_1"}]}
 
-Each term's coefficient is a rational linear form in invariant names,
-evaluated on the knot being expanded; "knot" names a basis knot in the
-corpus the checker runs against.
+Each term's coefficient is a linear form in invariant names, weighted by
+rational strings or integers and evaluated on the knot being expanded;
+"knot" names a basis knot found once in the corpus the checker runs against.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def parse_expansion(text: str) -> Expansion:
         coeff: Dict[str, Fraction] = {}
         for name, weight in raw_coeff.items():
             try:
+                if isinstance(weight, bool) or not isinstance(weight, (str, int)):
+                    raise TypeError("want a rational string or an integer")
                 coeff[name] = Fraction(weight)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise VassilievError(
@@ -152,13 +154,15 @@ def _probes(
 
 
 def _basis_records(expansion: Expansion, corpus: Sequence[KnotRecord]) -> list[KnotRecord]:
-    by_name = {record.name: record for record in corpus}
+    """The corpus record of each term's basis knot, named exactly once."""
     found = []
     for term in expansion.terms:
-        record = by_name.get(term.knot)
-        if record is None:
+        named = [record for record in corpus if record.name == term.knot]
+        if not named:
             raise VassilievError(f"basis knot {term.knot!r} not in the corpus")
-        found.append(record)
+        if len(named) > 1:
+            raise VassilievError(f"basis knot {term.knot!r} occurs {len(named)} times in the corpus")
+        found.append(named[0])
     return found
 
 
@@ -181,22 +185,16 @@ def check_expansion(
     names: Sequence[str],
     corpus: Sequence[KnotRecord],
     registry: Registry = INVARIANTS,
-    basis_values: Optional[Mapping[Tuple[str, str], Fraction]] = None,
 ) -> ExpansionReport:
     """Residuals probe(K) - sum of coeff(K) * probe(basis knot) over the corpus.
 
     Probes and coefficient forms are both evaluated through ``registry``.
-    With ``basis_values`` given, probe values on basis knots are taken
-    from that (probe name, knot name) table instead of being computed.
     """
     probes = _probes(expansion, names, registry)
     basis = _basis_records(expansion, corpus)
     rows = []
     for name, fn in probes:
-        if basis_values is None:
-            on_basis = [Fraction(fn(record.code)) for record in basis]
-        else:
-            on_basis = [basis_values[(name, record.name)] for record in basis]
+        on_basis = [Fraction(fn(record.code)) for record in basis]
         for record in corpus:
             weights = _term_weights(expansion, record.code, registry)
             predicted = sum(

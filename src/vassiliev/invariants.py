@@ -17,9 +17,9 @@ from importlib import resources
 from itertools import accumulate
 from operator import xor
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping
 
-from .codes import GaussCode, KnotRecord, bundled_knot_table
+from .codes import GaussCode
 from .coordinates import delta, epsilon
 from .diagrams import (
     PatternExpression,
@@ -29,7 +29,7 @@ from .diagrams import (
     load_pattern_file,
     parse_pattern_file,
 )
-from .errors import CalibrationUnresolved, NonIntegerResult
+from .errors import NonIntegerResult
 from .weights import w2, w3
 
 # Transcribing the coordinate formulas verbatim yields -1 on the right
@@ -38,14 +38,6 @@ from .weights import w2, w3
 # either constant breaks the trefoil calibration.
 V2_SIGN = -1
 V3_SIGN = -1
-
-# The triple summand below is not symmetric in (x, y, z) although the
-# sum runs over unordered triples, so a role assignment is needed.  The
-# committed reading takes each triple in first-passage order, the order
-# of code.crossings; the two plausible alternatives sum over all six
-# assignments and fail calibration (see select_role_convention).
-V3_ROLE_CONVENTION = "first-passage"
-ROLE_CONVENTIONS = ("first-passage", "ordered-averaged", "ordered-unaveraged")
 
 _V2_FILE = "v2.pat"
 _V3_PV_FILE = "v3_pv.pat"
@@ -96,15 +88,12 @@ def v2_lannes(code: GaussCode) -> int:
     return _integral(Fraction(V2_SIGN * total, 2), "half the pair sum")
 
 
-def v3_lannes(code: GaussCode, role_convention: Optional[str] = None) -> int:
+def v3_lannes(code: GaussCode) -> int:
     """Degree 3 invariant as a coordinate sum over crossing triples: roles
     (x, y, z) with dx = dz != dy contribute -w3 * ex * ey * ez, any
-    others nothing.  In first-passage order y lies between x and z; the
-    other conventions take any y and count each (x, z) in both orders."""
-    convention = role_convention or V3_ROLE_CONVENTION
-    if convention not in ROLE_CONVENTIONS:
-        raise CalibrationUnresolved(f"unknown role convention {convention!r}")
-    ordered = convention != "first-passage"
+    others nothing."""
+    # Each triple is read in first-passage order, so y lies between x and z;
+    # tests/test_invariants.py rejects the two readings over all six orders.
     labels, over, under, positive, rows = _table(code)
 
     def parts():
@@ -113,15 +102,14 @@ def v3_lannes(code: GaussCode, role_convention: Optional[str] = None) -> int:
             others = under if dx else over
             for z in range(x + 1, len(labels)):
                 if over >> z & 1 == dx:
-                    ys = others if ordered else others & ((1 << z) - (2 << x))
+                    ys = others & ((1 << z) - (2 << x))
                     factor = 2 * ((positive >> x ^ positive >> z) & 1) - 1  # -ex * ez
                     for xy, near in ((1, ys & rows[x]), (0, ys & ~rows[x])):
                         for yz, part in ((1, near & rows[z]), (0, near & ~rows[z])):
                             yield (rows[x] >> z & 1, xy, yz), (x, z), factor, part
 
-    total = _weighed_sum(code, labels, positive, w3, parts()) * (2 if ordered else 1)
-    scale = Fraction(1, 12) if convention == "ordered-averaged" else Fraction(1, 2)
-    return _integral(V3_SIGN * scale * total, "the triple sum")
+    total = _weighed_sum(code, labels, positive, w3, parts())
+    return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
 
 
 @lru_cache(maxsize=None)
@@ -244,40 +232,3 @@ def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> Invari
     for name, value in values.items():
         seen.setdefault(registry[name][0], set()).add(value)
     return InvariantReport(values, {degree: len(seen[degree]) == 1 for degree in sorted(seen)})
-
-
-def select_role_convention(corpus: Optional[Sequence[KnotRecord]] = None) -> str:
-    """Re-run the calibration that fixes the v3 role convention.
-
-    A candidate survives when it gives 0 on the unknot, 1 on the right
-    trefoil, 0 on the figure-eight, and agrees with both pattern
-    formulas on the five-crossing knots.  Exactly one candidate must
-    survive; anything else raises CalibrationUnresolved.
-    """
-    records = bundled_knot_table() if corpus is None else list(corpus)
-    by_name = {r.name: r for r in records}
-    needed = ("unknot", "3_1", "4_1", "5_1", "5_2")
-    missing = [n for n in needed if n not in by_name]
-    if missing:
-        raise CalibrationUnresolved(f"calibration knots missing: {missing}")
-
-    def survives(conv: str) -> bool:
-        try:
-            if v3_lannes(by_name["unknot"].code, conv) != 0:
-                return False
-            if v3_lannes(by_name["3_1"].code, conv) != 1:
-                return False
-            if v3_lannes(by_name["4_1"].code, conv) != 0:
-                return False
-            for name in ("5_1", "5_2"):
-                c = by_name[name].code
-                if not v3_lannes(c, conv) == v3_theorem(c) == v3_polyak_viro(c):
-                    return False
-        except NonIntegerResult:
-            return False
-        return True
-
-    survivors = [conv for conv in ROLE_CONVENTIONS if survives(conv)]
-    if len(survivors) != 1:
-        raise CalibrationUnresolved(f"calibration survivors: {survivors}")
-    return survivors[0]

@@ -23,7 +23,6 @@ from vassiliev import (
     random_perturbations,
     rotate_basepoint,
     solve_basis_values,
-    select_role_convention,
     v2,
     v2_lannes,
     v2_polyak_viro,
@@ -41,6 +40,7 @@ from vassiliev.weights import chord_word
 
 from conftest import TREFOIL
 from test_diagrams import bundled_patterns, oracle_count, random_diagram
+from test_invariants import surviving_conventions
 from test_weights import W2_TABLE, W3_TABLE
 
 METHODS = (v2_lannes, v2_polyak_viro, v3_lannes, v3_polyak_viro, v3_theorem)
@@ -161,8 +161,7 @@ def test_criterion_09_matcher_oracle():
 def test_criterion_10_committed_choices_guarded(monkeypatch):
     with criterion(10, "sign and role-convention commitments reproduce criteria 1 and 6"):
         assert invariants.V2_SIGN == -1 and invariants.V3_SIGN == -1
-        assert invariants.V3_ROLE_CONVENTION == "first-passage"
-        assert select_role_convention() == "first-passage"
+        assert surviving_conventions(bundled_knot_table()) == ["first-passage"]
         trefoil = parse_gauss_code(TREFOIL)
         with monkeypatch.context() as flip:
             flip.setattr(invariants, "V2_SIGN", 1)

@@ -230,6 +230,26 @@ def test_verify_fails_on_broken_table(capsys, tmp_path):
     assert out.startswith("FAIL")
 
 
+def test_verify_invariance_refuses_an_empty_table(capsys, tmp_path):
+    table = tmp_path / "empty.jsonl"
+    table.write_text("")
+    code, out, err = run(capsys, "verify", "--table", str(table), "--suite", "invariance")
+    assert code == 2 and out == ""
+    assert "invariance suite" in err and "Traceback" not in err
+
+
+def test_verify_invariance_keys_knots_by_position(capsys, tmp_path):
+    # two different knots under one name: each is compared with its own values
+    table = tmp_path / "same_name.jsonl"
+    table.write_text(
+        '{"name": "k", "gauss": "%s"}\n'
+        '{"name": "k", "gauss": "O1+ U2- O4- U1+ O3+ U4- O2- U3+"}\n' % TREFOIL
+    )
+    code, out, _ = run(capsys, "verify", "--table", str(table), "--suite", "invariance",
+                       "--perturbations", "4")
+    assert code == 0 and out.startswith("PASS invariance:")
+
+
 # -- coords ----------------------------------------------------------------------
 
 def test_coords_trefoil(capsys):
@@ -342,6 +362,18 @@ def test_expansion_inconsistent_file(capsys, tmp_path):
     code, out, _ = run(capsys, "expansion", "solve", "--file", str(doc))
     assert code == 1
     assert "forces 0 =" in out
+
+
+def test_expansion_refuses_a_repeated_basis_name(capsys, tmp_path):
+    table = tmp_path / "twice.jsonl"
+    table.write_text(
+        '{"name": "unknot", "gauss": ""}\n'
+        '{"name": "3_1", "gauss": "%s"}\n'
+        '{"name": "3_1", "gauss": "O1+ U2- O4- U1+ O3+ U4- O2- U3+"}\n' % TREFOIL
+    )
+    code, out, err = run(capsys, "expansion", "check", "--degree", "2", "--table", str(table))
+    assert code == 2 and out == ""
+    assert "'3_1' occurs 2 times" in err
 
 
 def test_expansion_malformed_file(capsys, tmp_path):

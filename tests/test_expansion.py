@@ -45,6 +45,13 @@ def test_parse_expansion_errors():
         parse_expansion('{"degree": 2, "terms": [{"coeff": {}, "knot": "k"}]}')
     with pytest.raises(VassilievError):
         parse_expansion('{"degree": 2, "terms": [{"coeff": {"v2": "1/0"}, "knot": "k"}]}')
+    # weights are rational strings or integers: a float or a bool is refused
+    for weight in ("0.1", "true"):
+        with pytest.raises(VassilievError, match="term 0: bad weight .* for 'v2'"):
+            parse_expansion('{"degree": 2, "terms": [{"coeff": {"v2": %s}, "knot": "k"}]}' % weight)
+    assert parse_expansion(
+        '{"degree": 2, "terms": [{"coeff": {"v2": 3, "v3": "0.1"}, "knot": "k"}]}'
+    ).terms[0].coeff == {"v2": 3, "v3": Fraction(1, 10)}
 
 
 def test_degree_two_residuals_vanish(corpus):
@@ -81,13 +88,11 @@ def test_solved_values_are_a_fixed_point(corpus):
     probes = ["v2", "v3"]
     expansion = bundled_expansion(3)
     solved = solve_basis_values(expansion, probes, corpus)
-    table = {
-        (p.probe, knot): value
-        for p in solved.probes
-        for knot, value in p.values.items()
-    }
-    report = check_expansion(expansion, probes, corpus, basis_values=table)
-    assert report.all_zero
+    code = {record.name: record.code for record in corpus}
+    for p in solved.probes:
+        evaluate = INVARIANTS[p.probe][1]
+        assert p.values == {knot: evaluate(code[knot]) for knot in p.values}
+    assert check_expansion(expansion, probes, corpus).all_zero
 
 
 def test_probe_above_expansion_degree_rejected(corpus):

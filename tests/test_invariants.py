@@ -18,7 +18,6 @@ from vassiliev import (
     parse_gauss_code,
     reverse_orientation,
     rotate_basepoint,
-    select_role_convention,
     v2,
     v2_lannes,
     v2_polyak_viro,
@@ -30,11 +29,7 @@ from vassiliev import (
     w3,
 )
 from vassiliev import invariants
-from vassiliev.errors import (
-    CalibrationUnresolved,
-    NonIntegerResult,
-    UnknownInvariant,
-)
+from vassiliev.errors import NonIntegerResult, UnknownInvariant
 from vassiliev.invariants import REPORT_COLUMNS
 
 from conftest import TREFOIL
@@ -144,19 +139,15 @@ def test_report_rule_is_agreement_within_degree(doubled_v2_dir, trefoil):
 
 # -- committed calibration choices, locked in place ---------------------------
 
-def test_triple_role_convention_is_first_passage():
-    assert invariants.V3_ROLE_CONVENTION == "first-passage"
-    assert select_role_convention() == "first-passage"
+def test_triple_role_convention_is_first_passage(corpus):
+    assert surviving_conventions(corpus) == ["first-passage"]
 
 
 def test_alternative_role_conventions_fail_calibration(trefoil):
     fig8 = parse_gauss_code("O1+ U2- O4- U1+ O3+ U4- O2- U3+")
-    with pytest.raises(NonIntegerResult):
-        v3_lannes(trefoil, role_convention="ordered-averaged")
-    assert v3_lannes(trefoil, role_convention="ordered-unaveraged") == 2
-    assert v3_lannes(fig8, role_convention="ordered-unaveraged") == 1  # wants 0
-    with pytest.raises(CalibrationUnresolved):
-        v3_lannes(trefoil, role_convention="alphabetical")
+    assert _transcribed_v3(trefoil, "ordered-averaged").denominator != 1
+    assert _transcribed_v3(trefoil, "ordered-unaveraged") == 2
+    assert _transcribed_v3(fig8, "ordered-unaveraged") == 1  # wants 0
 
 
 def test_sign_constants_are_committed():
@@ -221,6 +212,24 @@ def _transcribed_v3(code, convention) -> Fraction:
     return invariants.V3_SIGN * scale * total
 
 
+ROLE_CONVENTIONS = ("first-passage", "ordered-averaged", "ordered-unaveraged")
+
+
+def surviving_conventions(corpus) -> list[str]:
+    """The role conventions whose transcribed triple sum gives 0 on the
+    unknot, 1 on 3_1 and 0 on 4_1, and agrees with both pattern formulas
+    on 5_1 and 5_2; a non-integer value fails."""
+    code = {record.name: record.code for record in corpus}
+    want = {"unknot": 0, "3_1": 1, "4_1": 0}
+    for name in ("5_1", "5_2"):
+        thm, pv = v3_theorem(code[name]), v3_polyak_viro(code[name])
+        want[name] = thm if thm == pv else None  # no sum agrees with both
+    return [
+        convention for convention in ROLE_CONVENTIONS
+        if all(_transcribed_v3(code[name], convention) == value for name, value in want.items())
+    ]
+
+
 def _agrees(evaluate, want: Fraction) -> None:
     """Equal values, or NonIntegerResult where the transcription is not
     an integer."""
@@ -235,8 +244,7 @@ def _agrees(evaluate, want: Fraction) -> None:
 def test_closed_forms_match_the_transcribed_sums(seed):
     code = random_code(random.Random(seed), max_crossings=7)  # mostly virtual
     _agrees(lambda: v2_lannes(code), _transcribed_v2(code))
-    for convention in invariants.ROLE_CONVENTIONS:
-        _agrees(lambda: v3_lannes(code, convention), _transcribed_v3(code, convention))
+    _agrees(lambda: v3_lannes(code), _transcribed_v3(code, "first-passage"))
 
 
 def _closure(seed: int, crossings: int):
@@ -252,8 +260,7 @@ def test_closed_forms_match_the_transcribed_sums_on_a_braid_closure():
     code = _closure(3, 40)
     assert len(code.crossings) == 40 and (v2_lannes(code), v3_lannes(code)) == (14, 49)
     _agrees(lambda: v2_lannes(code), _transcribed_v2(code))
-    for convention in invariants.ROLE_CONVENTIONS:
-        _agrees(lambda: v3_lannes(code, convention), _transcribed_v3(code, convention))
+    _agrees(lambda: v3_lannes(code), _transcribed_v3(code, "first-passage"))
 
 
 def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
