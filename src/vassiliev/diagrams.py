@@ -242,8 +242,9 @@ def count_matches(pattern: Pattern, diagram: ArrowDiagram) -> int:
     Pattern arrows are placed in first-endpoint order, each from one mask:
     the arrows pointing its way with tail, and head, strictly inside its
     gaps between the endpoints placed so far.  Strict gaps reuse no arrow
-    and keep the word's order, so the walk visits only partial copies;
-    the last arrow's candidates are counted, not walked.
+    and keep the word's order, so the walk visits only partial copies.
+    The last arrow is not walked: per candidate of the one before, its mask
+    is built inline and its signed popcount added, times that sign.
     """
     plan = pattern.plan
     if not plan:
@@ -251,21 +252,27 @@ def count_matches(pattern: Pattern, diagram: ArrowDiagram) -> int:
     tails, heads, forward, positive = diagram.masks
     arrows = diagram.arrows
     last = len(plan) - 1
+    lt_lo, lt_hi, lh_lo, lh_hi, _, _, ahead = plan[last]  # the last arrow's gaps and way
+    way = forward if ahead else ~forward
+    if not last:  # one arrow: every arrow pointing its way
+        return 2 * (way & positive).bit_count() - (way & ((1 << len(arrows)) - 1)).bit_count()
     placed = [0] * (2 * len(plan)) + [2 * len(arrows), -1]  # per pattern position, then the two ends
 
     def walk(j: int) -> int:
         t_lo, t_hi, h_lo, h_hi, t, h, ahead = plan[j]
         fits = (tails[placed[t_hi]] ^ tails[placed[t_lo] + 1]) & (heads[placed[h_hi]] ^ heads[placed[h_lo] + 1])
         fits &= forward if ahead else ~forward
-        if j == last:
-            return 2 * (fits & positive).bit_count() - fits.bit_count()
         total = 0
         while fits:
             bit = fits & -fits
             fits ^= bit
             arrow = arrows[bit.bit_length() - 1]
             placed[t], placed[h] = arrow.tail, arrow.head
-            total += walk(j + 1) * arrow.sign
+            if j + 1 < last:
+                total += walk(j + 1) * arrow.sign
+            else:
+                ends = (tails[placed[lt_hi]] ^ tails[placed[lt_lo] + 1]) & (heads[placed[lh_hi]] ^ heads[placed[lh_lo] + 1]) & way
+                total += arrow.sign * (2 * (ends & positive).bit_count() - ends.bit_count())
         return total
 
     return walk(0)

@@ -153,11 +153,11 @@ def _probes(
     return probes
 
 
-def _basis_records(expansion: Expansion, corpus: Sequence[KnotRecord]) -> list[KnotRecord]:
-    """The corpus record of each term's basis knot, named exactly once."""
+def _basis_rows(expansion: Expansion, corpus: Sequence[KnotRecord]) -> list[int]:
+    """The corpus row of each term's basis knot, named exactly once."""
     found = []
     for term in expansion.terms:
-        named = [record for record in corpus if record.name == term.knot]
+        named = [k for k, record in enumerate(corpus) if record.name == term.knot]
         if not named:
             raise VassilievError(f"basis knot {term.knot!r} not in the corpus")
         if len(named) > 1:
@@ -166,18 +166,19 @@ def _basis_records(expansion: Expansion, corpus: Sequence[KnotRecord]) -> list[K
     return found
 
 
-def _term_weights(expansion: Expansion, code: GaussCode, registry: Registry) -> list[Fraction]:
-    """Evaluate every term's coefficient linear form on one knot."""
-    cache: Dict[str, Fraction] = {}
-    out = []
-    for term in expansion.terms:
-        total = Fraction(0)
-        for name, weight in term.coeff.items():
-            if name not in cache:
-                cache[name] = Fraction(_method(registry, name)[1](code))
-            total += weight * cache[name]
-        out.append(total)
-    return out
+def _corpus_values(
+    expansion: Expansion, probes: list, corpus: Sequence[KnotRecord], registry: Registry
+) -> list[Dict[str, Fraction]]:
+    """Per corpus knot, every probe and every invariant of the coefficient
+    forms, each name evaluated once."""
+    fns = {name: _method(registry, name)[1] for term in expansion.terms for name in term.coeff}
+    fns.update(probes)
+    return [{name: Fraction(fn(record.code)) for name, fn in fns.items()} for record in corpus]
+
+
+def _term_weights(expansion: Expansion, values: Mapping[str, Fraction]) -> list[Fraction]:
+    """Every term's coefficient linear form on one knot's values."""
+    return [sum((w * values[name] for name, w in term.coeff.items()), Fraction(0)) for term in expansion.terms]
 
 
 def check_expansion(
@@ -188,20 +189,19 @@ def check_expansion(
 ) -> ExpansionReport:
     """Residuals probe(K) - sum of coeff(K) * probe(basis knot) over the corpus.
 
-    Probes and coefficient forms are both evaluated through ``registry``.
+    Probes and coefficient forms are both evaluated through ``registry``,
+    each name once per corpus knot.
     """
     probes = _probes(expansion, names, registry)
-    basis = _basis_records(expansion, corpus)
+    basis = _basis_rows(expansion, corpus)
+    per_knot = _corpus_values(expansion, probes, corpus, registry)
+    weights = [_term_weights(expansion, known) for known in per_knot]
     rows = []
-    for name, fn in probes:
-        on_basis = [Fraction(fn(record.code)) for record in basis]
-        for record in corpus:
-            weights = _term_weights(expansion, record.code, registry)
-            predicted = sum(
-                (w * value for w, value in zip(weights, on_basis)), Fraction(0)
-            )
-            residual = Fraction(fn(record.code)) - predicted
-            rows.append(ResidualRow(name, record.name, residual))
+    for name, _ in probes:
+        on_basis = [per_knot[k][name] for k in basis]
+        for record, known, weight in zip(corpus, per_knot, weights):
+            predicted = sum((w * value for w, value in zip(weight, on_basis)), Fraction(0))
+            rows.append(ResidualRow(name, record.name, known[name] - predicted))
     return ExpansionReport(tuple(rows))
 
 
@@ -243,15 +243,16 @@ def solve_basis_values(
         raise UnderdeterminedSystem(
             f"corpus of {len(corpus)} knots cannot pin down {t} basis values"
         )
-    weight_rows = [_term_weights(expansion, record.code, registry) for record in corpus]
+    per_knot = _corpus_values(expansion, probes, corpus, registry)
+    weight_rows = [_term_weights(expansion, known) for known in per_knot]
     knot_names = [record.name for record in corpus]
     solved = []
-    for name, fn in probes:
+    for name, _ in probes:
         # columns: t unknowns, rhs, then one tracking column per corpus row
         rows = []
-        for k, record in enumerate(corpus):
+        for k, known in enumerate(per_knot):
             tracking = [Fraction(int(j == k)) for j in range(len(corpus))]
-            rows.append(weight_rows[k] + [Fraction(fn(record.code))] + tracking)
+            rows.append(weight_rows[k] + [known[name]] + tracking)
         mat, pivot_cols = _eliminate(rows, t)
         certificate = None
         for row in mat:

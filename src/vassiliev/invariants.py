@@ -63,29 +63,39 @@ def _table(code: GaussCode) -> tuple[tuple[str, ...], int, int, int, list[int]]:
     return labels, over, under, positive, [opened[a + 1] ^ opened[b] for a, b in spans]
 
 
-def _weighed_sum(code: GaussCode, labels, positive: int, weight, parts) -> int:
-    """Sum of factor * weight * ey over tuples given as (class, ends,
-    factor, mask of y).  The weight depends only on which chords cross, the
-    class, so each class is weighed once: on its first y, between the ends."""
-    classes: dict = {}
-    for key, ends, factor, ys in parts:
-        if ys:
-            if key not in classes:
-                classes[key] = [(ends[0], (ys & -ys).bit_length() - 1, *ends[1:]), 0]
-            classes[key][1] += factor * (2 * (ys & positive).bit_count() - ys.bit_count())
-    return sum(weight(chord_subdiagram(code, [labels[i] for i in t])) * f for t, f in classes.values())
-
-
 def v2_lannes(code: GaussCode) -> int:
     """Degree 2 invariant as a coordinate sum over crossing pairs: a pair
     with dx != dy contributes -w2 * ex * ey, any other pair nothing."""
+    # As in v3_lannes, a class with a nonzero count is weighed on its first pair.
     labels, over, under, positive, rows = _table(code)
-    parts = (
-        (crossed, (x,), 1 - 2 * (positive >> x & 1), under & (rows[x] if crossed else ~rows[x]))  # -ex
-        for x in range(len(labels)) if over >> x & 1 for crossed in (True, False)
-    )
-    total = _weighed_sum(code, labels, positive, w2, parts)
+    total = 0
+    for crossed in (1, 0):
+        count, member = 0, None
+        for x in range(len(labels)):
+            if over >> x & 1:
+                ys = under & (rows[x] ^ (crossed - 1))  # row x, or its complement
+                good = ~positive if positive >> x & 1 else positive  # y with -ex * ey = 1
+                count += 2 * (ys & good).bit_count() - ys.bit_count()
+                if member is None and ys:
+                    member = (x, (ys & -ys).bit_length() - 1)
+        if count:
+            total += count * w2(chord_subdiagram(code, [labels[i] for i in member]))
     return _integral(Fraction(V2_SIGN * total, 2), "half the pair sum")
+
+
+def _triples(over: int, under: int, rows: list[int], xz: int, xy: int, yz: int):
+    """The triples of v3_lannes in loop order whose xz, xy, yz cross as flagged."""
+    for x in range(len(rows)):
+        dx = over >> x & 1
+        later = -(2 << x)
+        ys = (under if dx else over) & later & (rows[x] ^ (xy - 1))
+        zs = (over if dx else under) & later & (rows[x] ^ (xz - 1))
+        while zs:
+            bit = zs & -zs
+            zs ^= bit
+            found = ys & (bit - 1) & (rows[bit.bit_length() - 1] ^ (yz - 1))
+            if found:
+                yield x, (found & -found).bit_length() - 1, bit.bit_length() - 1
 
 
 def v3_lannes(code: GaussCode) -> int:
@@ -94,21 +104,42 @@ def v3_lannes(code: GaussCode) -> int:
     others nothing."""
     # Each triple is read in first-passage order, so y lies between x and z;
     # tests/test_invariants.py rejects the two readings over all six orders.
+    # The weight depends only on which of xz, xy and yz cross.  Per pair (x, z),
+    # with ys between them, four signed counts are summed by whether xz crosses:
+    # a = ys in rows x and z, b = ys in row x, c = ys in row z, d = ys, in groups
+    # of one -ex * ez.  Inclusion-exclusion gives each class's count, and a
+    # nonzero one is weighed once, on its first triple.
     labels, over, under, positive, rows = _table(code)
-
-    def parts():
-        for x in range(len(labels)):
-            dx = over >> x & 1
-            others = under if dx else over
-            for z in range(x + 1, len(labels)):
-                if over >> z & 1 == dx:
-                    ys = others & ((1 << z) - (2 << x))
-                    factor = 2 * ((positive >> x ^ positive >> z) & 1) - 1  # -ex * ez
-                    for xy, near in ((1, ys & rows[x]), (0, ys & ~rows[x])):
-                        for yz, part in ((1, near & rows[z]), (0, near & ~rows[z])):
-                            yield (rows[x] >> z & 1, xy, yz), (x, z), factor, part
-
-    total = _weighed_sum(code, labels, positive, w3, parts())
+    sums = [[0] * 4, [0] * 4]  # a, b, c, d over pairs (x, z) that do not cross, and that do
+    for x in range(len(labels)):
+        dx = over >> x & 1
+        later = -(2 << x)
+        pool, zs = (under if dx else over) & later, (over if dx else under) & later
+        near = pool & (rx := rows[x])
+        same = positive if positive >> x & 1 else ~positive  # ez = ex, so -ex * ez = -1
+        for xz, crossing in ((0, zs & ~rx), (1, zs & rx)):
+            for group, good in ((crossing & ~same, positive), (crossing & same, ~positive)):
+                a = b = c = d = 0
+                while group:
+                    bit = group & -group
+                    group ^= bit
+                    rz = rows[bit.bit_length() - 1]
+                    ys = pool & (bit - 1)
+                    ysx = near & (bit - 1)
+                    m = ysx & rz
+                    a += 2 * (m & good).bit_count() - m.bit_count()
+                    b += 2 * (ysx & good).bit_count() - ysx.bit_count()
+                    m = ys & rz
+                    c += 2 * (m & good).bit_count() - m.bit_count()
+                    d += 2 * (ys & good).bit_count() - ys.bit_count()
+                sums[xz] = [s + t for s, t in zip(sums[xz], (a, b, c, d))]
+    total = 0
+    for xz in (1, 0):
+        a, b, c, d = sums[xz]
+        for xy, yz, count in ((1, 1, a), (1, 0, b - a), (0, 1, c - a), (0, 0, d - b - c + a)):
+            if count:
+                member = next(_triples(over, under, rows, xz, xy, yz))
+                total += count * w3(chord_subdiagram(code, [labels[i] for i in member]))
     return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,22 @@ def test_solved_values_are_a_fixed_point(corpus):
         evaluate = INVARIANTS[p.probe][1]
         assert p.values == {knot: evaluate(code[knot]) for knot in p.values}
     assert check_expansion(expansion, probes, corpus).all_zero
+
+
+def test_each_invariant_is_evaluated_once_per_knot(corpus):
+    calls = Counter()
+    registry = {
+        name: (degree, lambda code, name=name, fn=fn: calls.update([name]) or fn(code))
+        for name, (degree, fn) in INVARIANTS.items()
+    }
+    expansion, probes = bundled_expansion(3), ["v2", "v3"]
+    assert len(corpus) == 11
+    # probes and coefficient forms share one value per knot, basis knots included
+    assert check_expansion(expansion, probes, corpus, registry).all_zero
+    assert calls == {"v2": 11, "v3": 11}
+    calls.clear()
+    assert solve_basis_values(expansion, probes, corpus, registry).consistent
+    assert calls == {"v2": 11, "v3": 11}
 
 
 def test_probe_above_expansion_degree_rejected(corpus):

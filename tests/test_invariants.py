@@ -247,11 +247,12 @@ def test_closed_forms_match_the_transcribed_sums(seed):
     _agrees(lambda: v3_lannes(code), _transcribed_v3(code, "first-passage"))
 
 
-def _closure(seed: int, crossings: int):
-    """A seeded 3-strand braid closure that is a knot."""
+def _closure(seed: int, crossings: int, strands: int = 3):
+    """A seeded braid closure that is a knot."""
     rng = random.Random(seed)
+    letters = [e for i in range(1, strands) for e in (i, -i)]
     while True:
-        word = [rng.choice((1, -1, 2, -2)) for _ in range(crossings)]
+        word = [rng.choice(letters) for _ in range(crossings)]
         if is_knot(word):
             return braid_closure(word)
 
@@ -259,8 +260,14 @@ def _closure(seed: int, crossings: int):
 def test_closed_forms_match_the_transcribed_sums_on_a_braid_closure():
     code = _closure(3, 40)
     assert len(code.crossings) == 40 and (v2_lannes(code), v3_lannes(code)) == (14, 49)
-    _agrees(lambda: v2_lannes(code), _transcribed_v2(code))
-    _agrees(lambda: v3_lannes(code), _transcribed_v3(code, "first-passage"))
+    # and six more at the sizes of the large-braids benchmark, on 3 and 4
+    # strands (a knot needs an even word on 3 strands and an odd one on 4)
+    sizes = [(20, 3), (24, 3), (30, 3), (21, 4), (25, 4), (29, 4)]
+    more = [_closure(seed, crossings, strands) for seed, (crossings, strands) in enumerate(sizes)]
+    assert [len(c.crossings) for c in more] == [crossings for crossings, _ in sizes]
+    for code in [code, *more]:
+        _agrees(lambda: v2_lannes(code), _transcribed_v2(code))
+        _agrees(lambda: v3_lannes(code), _transcribed_v3(code, "first-passage"))
 
 
 def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
@@ -291,6 +298,14 @@ def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
         assert all(dl[x] == dl[z] != dl[y] for x, y, z in triples)
         # and each class of tuples with the same chords crossing only once
         assert 1 <= len(pairs) <= 2 and 1 <= len(triples) <= 8
+
+        def crosses(p, q):
+            (a1, a2), (b1, b2) = code.positions(p), code.positions(q)
+            return (a1 < b1 < a2) != (a1 < b2 < a2)
+
+        pair_classes = {crosses(x, y) for x, y in pairs}
+        triple_classes = {(crosses(x, z), crosses(x, y), crosses(y, z)) for x, y, z in triples}
+        assert len(pair_classes) == len(pairs) and len(triple_classes) == len(triples)
 
 
 def test_routes_agree_on_a_large_braid_closure():
