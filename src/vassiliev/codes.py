@@ -101,6 +101,12 @@ class _Code:
             table.setdefault((type(p), p.label), []).append(i)
         return {key: tuple(hits) for key, hits in table.items()}
 
+    @cached_property
+    def faces(self) -> list[tuple[int, ...]]:
+        """Face boundary walks of the embedded diagram (see ``_faces``),
+        walked once per code; the planarity test and the R2 moves read it."""
+        return _faces(self)
+
     def _labels(self, kind: type) -> tuple[str, ...]:
         return tuple(label for k, label in self.ends if k is kind)
 
@@ -397,7 +403,7 @@ def embedding_genus(code: Union[GaussCode, SingularCode]) -> int:
     c = len(code.passages) // 2
     if c == 0:
         return 0
-    euler = c - 2 * c + len(_faces(code))
+    euler = c - 2 * c + len(code.faces)
     if euler % 2:
         raise CheckFailed(f"odd Euler characteristic {euler}")
     return (2 - euler) // 2
@@ -418,22 +424,17 @@ _R2_CASES = {
 }
 
 
-def _insertion_darts(position: int, word_len: int, forward: bool) -> int:
-    edge = (position - 1) % word_len
-    return 2 * edge if forward else 2 * edge + 1
-
-
 def apply_r2(code: GaussCode, position_a: int, position_b: int, orientation_case: str) -> GaussCode:
     """Slide one strand across another, adding two cancelling crossings.
 
     Inserts "O x, O y" at position_a and "U y, U x" at position_b (both
     positions in the original word, 0..len).  Equal positions nest the
     two pairs, and the pair {0, len} wraps them around the basepoint;
-    both amount to two curls and are always valid.  Other position pairs
-    are valid only when the two word edges border a common face with
-    compatible direction: case-1 needs both backward, case-2 both
-    forward.  The crossing signs are (+, -) for case-1 and (-, +) for
-    case-2.  Anything else raises UnsupportedOrientationCase.
+    both amount to two curls and are always valid.  On a realizable code
+    any other pair is valid only when list_r2_insertions lists it, with
+    position 0 read as len (both enter the last word edge).  The crossing
+    signs are (+, -) for case-1 and (-, +) for case-2.  Anything else
+    raises UnsupportedOrientationCase.
     """
     n = len(code.passages)
     if orientation_case not in _R2_CASES:
@@ -449,10 +450,8 @@ def apply_r2(code: GaussCode, position_a: int, position_b: int, orientation_case
     realizable_input = n > 0 and is_realizable(code)
     degenerate = position_a == position_b or (position_a, position_b) == (0, n)
     if not degenerate and realizable_input:
-        forward = orientation_case == "case-2"
-        da = _insertion_darts(position_a, n, forward)
-        db = _insertion_darts(position_b, n, forward)
-        if not any(da in f and db in f for f in _faces(code)):
+        listed = (*sorted((position_a or n, position_b)), orientation_case)
+        if listed not in list_r2_insertions(code):
             raise UnsupportedOrientationCase(
                 f"segments before positions {position_a} and {position_b} do not"
                 f" border a common face with {orientation_case} orientation"
@@ -473,31 +472,22 @@ def apply_r2(code: GaussCode, position_a: int, position_b: int, orientation_case
 def list_r2_insertions(code: GaussCode) -> list[tuple[int, int, str]]:
     """All valid (position_a, position_b, case) triples for apply_r2.
 
-    Distinct-position insertions only; equal positions are always
-    allowed and not enumerated.  Requires a realizable code.
+    Position p inserts into the word edge before passage p, with 1..len
+    naming every edge once.  A pair is valid when the two edges border a
+    common face with compatible direction: case-1 needs both darts
+    backward, case-2 both forward.  Distinct edges only; equal positions
+    are always allowed and not enumerated.  Requires a realizable code.
     """
-    n = len(code.passages)
-    out = []
-    darts_to_position = {}
-    for pos in range(1, n + 1):
-        # position pos inserts into edge (pos-1); positions 0 and n hit the
-        # same edge, keep the smaller
-        darts_to_position.setdefault(2 * ((pos - 1) % n), pos)
-        darts_to_position.setdefault(2 * ((pos - 1) % n) + 1, pos)
-    for face in _faces(code):
+    out = set()
+    for face in code.faces:
         for i, da in enumerate(face):
             for db in face[i + 1:]:
-                if da == db or (da >> 1) == (db >> 1):
+                # dart 2g or 2g+1 lies on edge g, which position g+1 enters
+                if (da ^ db) & 1 or da >> 1 == db >> 1:
                     continue
-                if da % 2 == 0 and db % 2 == 0:
-                    case = "case-2"
-                elif da % 2 == 1 and db % 2 == 1:
-                    case = "case-1"
-                else:
-                    continue
-                pa, pb = sorted((darts_to_position[da], darts_to_position[db]))
-                out.append((pa, pb, case))
-    return sorted(set(out))
+                case = "case-1" if da & 1 else "case-2"
+                out.add((*sorted(((da >> 1) + 1, (db >> 1) + 1)), case))
+    return sorted(out)
 
 
 def random_perturbations(code: GaussCode, count: int, rng) -> list[GaussCode]:
@@ -511,8 +501,7 @@ def random_perturbations(code: GaussCode, count: int, rng) -> list[GaussCode]:
     for _ in range(count):
         current = code
         for _ in range(rng.randint(1, 3)):
-            choices = list_r2_insertions(current)
-            if choices and rng.random() < 0.5:
+            if rng.random() < 0.5 and (choices := list_r2_insertions(current)):
                 pa, pb, case = rng.choice(choices)
                 current = apply_r2(current, pa, pb, case)
             else:

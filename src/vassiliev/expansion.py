@@ -233,7 +233,7 @@ def solve_basis_values(
 ) -> SolveReport:
     """Fit probe values on the basis knots from the corpus equations.
 
-    One exact linear solve per probe.  An unsolvable system is reported
+    One exact elimination for all probes.  An unsolvable system is reported
     with a certificate naming the corpus combination that forces a
     contradiction; a rank-deficient one raises UnderdeterminedSystem.
     """
@@ -244,28 +244,28 @@ def solve_basis_values(
             f"corpus of {len(corpus)} knots cannot pin down {t} basis values"
         )
     per_knot = _corpus_values(expansion, probes, corpus, registry)
-    weight_rows = [_term_weights(expansion, known) for known in per_knot]
-    knot_names = [record.name for record in corpus]
+    # columns: t unknowns, one rhs per probe, then one tracking column per
+    # corpus row; the pivots depend only on the unknowns, so one
+    # elimination serves every probe
+    rows = [
+        _term_weights(expansion, known)
+        + [known[name] for name, _ in probes]
+        + [Fraction(int(j == k)) for j in range(len(corpus))]
+        for k, known in enumerate(per_knot)
+    ]
+    mat, pivot_cols = _eliminate(rows, t)
     solved = []
-    for name, _ in probes:
-        # columns: t unknowns, rhs, then one tracking column per corpus row
-        rows = []
-        for k, known in enumerate(per_knot):
-            tracking = [Fraction(int(j == k)) for j in range(len(corpus))]
-            rows.append(weight_rows[k] + [known[name]] + tracking)
-        mat, pivot_cols = _eliminate(rows, t)
-        certificate = None
-        for row in mat:
-            if all(x == 0 for x in row[:t]) and row[t] != 0:
-                mults = {
-                    knot_names[j]: row[t + 1 + j]
-                    for j in range(len(corpus))
-                    if row[t + 1 + j] != 0
-                }
-                combo = " + ".join(f"({mult})*[{name}]" for name, mult in mults.items())
-                certificate = f"{combo} forces 0 = {row[t]}"
-                break
-        if certificate is not None:
+    for i, (name, _) in enumerate(probes):
+        rhs = t + i
+        bad = next((row for row in mat if row[rhs] != 0 and not any(row[:t])), None)
+        if bad is not None:
+            # multipliers by corpus position: two rows may share a name
+            combo = " + ".join(
+                f"({mult})*[{record.name}]"
+                for record, mult in zip(corpus, bad[t + len(probes):])
+                if mult != 0
+            )
+            certificate = f"{combo} forces 0 = {bad[rhs]}"
             solved.append(SolvedProbe(name, {}, False, certificate))
             continue
         if len(pivot_cols) < t:
@@ -273,8 +273,6 @@ def solve_basis_values(
                 f"probe {name}: corpus determines only "
                 f"{len(pivot_cols)} of {t} basis values"
             )
-        values = {}
-        for rank, col in enumerate(pivot_cols):
-            values[expansion.terms[col].knot] = mat[rank][t]
+        values = {expansion.terms[col].knot: mat[rank][rhs] for rank, col in enumerate(pivot_cols)}
         solved.append(SolvedProbe(name, values, True, None))
     return SolveReport(tuple(solved))

@@ -25,7 +25,7 @@ from .codes import (
     embedding_genus,
     validate,
 )
-from .diagrams import ChordDiagram, double_point_diagram, interleaved
+from .diagrams import ChordDiagram, _ends, double_point_diagram, interleaved
 from .errors import CheckFailed, TooLarge, WrongDegree
 
 MAX_ENUM_DEGREE = 6
@@ -57,16 +57,8 @@ def enumerate_chord_diagrams(n: int) -> list[ChordDiagram]:
 def chord_word(d: ChordDiagram) -> str:
     """Endpoint word with chords numbered by first appearance,
     e.g. ``1 2 1 2`` for the crossed 2-chord diagram."""
-    at: dict[int, int] = {}
-    for i, (a, b) in enumerate(d.chords):
-        at[a] = i
-        at[b] = i
     order: dict[int, int] = {}
-    toks = []
-    for pos in range(2 * d.degree):
-        rank = order.setdefault(at[pos], len(order) + 1)
-        toks.append(str(rank))
-    return " ".join(toks)
+    return " ".join(str(order.setdefault(i, len(order) + 1)) for i, _ in _ends(d.chords))
 
 
 def _isolated(d: ChordDiagram, i: int) -> bool:

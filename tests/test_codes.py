@@ -292,6 +292,44 @@ def test_random_perturbations_deterministic(trefoil):
         assert is_realizable(out)
 
 
+def test_random_perturbations_walk_faces_once_per_code(monkeypatch):
+    # the invariance suite's draw: round robin over the table, seed 3
+    walks = {}  # id -> [code, walks]; holding the code keeps its id unique
+    walk = codes._faces
+
+    def counted(code):
+        walks.setdefault(id(code), [code, 0])[1] += 1
+        return walk(code)
+
+    monkeypatch.setattr(codes, "_faces", counted)
+    table = codes.bundled_knot_table()
+    rng = random.Random(3)
+    for i in range(1000):
+        random_perturbations(table[i % len(table)].code, 1, rng)
+    assert walks
+    assert max(count for _, count in walks.values()) == 1
+
+
+def test_r2_from_position_zero_matches_listing(corpus, trefoil):
+    # position 0 and position n enter the same word edge
+    accepted = rejected = 0
+    for code in [trefoil] + [r.code for r in corpus if r.code.passages]:
+        n = len(code)
+        listed = set(list_r2_insertions(code))
+        for p in range(1, n):
+            for case in ("case-1", "case-2"):
+                if (p, n, case) in listed:
+                    out = apply_r2(code, 0, p, case)
+                    assert is_realizable(out)
+                    assert apply_r2(code, p, 0, case) == out
+                    accepted += 1
+                else:
+                    with pytest.raises(UnsupportedOrientationCase):
+                        apply_r2(code, 0, p, case)
+                    rejected += 1
+    assert accepted and rejected
+
+
 # -- planarity oracle -------------------------------------------------------
 
 def test_genus_of_known_codes(trefoil):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -166,3 +167,48 @@ def test_inconsistent_expansion_gets_certificate(corpus):
     assert "0 =" in probe.certificate
     residuals = check_expansion(lie, ["v2"], corpus)
     assert not residuals.all_zero
+
+
+_CERTIFICATE_TERM = re.compile(r"\((-?\d+(?:/\d+)?)\)\*\[([^\]]*)\]")
+
+
+def _check_certificate(certificate, expansion, probe, corpus):
+    """The multiplier-weighted corpus rows sum to 0 on every unknown and
+    to the stated nonzero value on the right-hand side."""
+    combo, _, value = certificate.rpartition(" forces 0 = ")
+    unknowns = [Fraction(0)] * len(expansion.terms)
+    rhs, k = Fraction(0), 0
+    for mult, name in _CERTIFICATE_TERM.findall(combo):
+        # terms come in corpus order: each names the next row with that name
+        while corpus[k].name != name:
+            k += 1
+        code, mult = corpus[k].code, Fraction(mult)
+        k += 1
+        for j, term in enumerate(expansion.terms):
+            unknowns[j] += mult * sum(w * INVARIANTS[n][1](code) for n, w in term.coeff.items())
+        rhs += mult * INVARIANTS[probe][1](code)
+    assert unknowns == [0] * len(expansion.terms)
+    assert rhs == Fraction(value) != 0
+
+
+def test_certificate_arithmetic_holds(corpus):
+    lie = Expansion(2, (ExpansionTerm({"v3": Fraction(1)}, "3_1"),))
+    (probe,) = solve_basis_values(lie, ["v2"], corpus).probes
+    _check_certificate(probe.certificate, lie, "v2", corpus)
+    # two corpus rows with one name stay two terms
+    by_name = {r.name: r.code for r in corpus}
+    dup = [KnotRecord(n, by_name[k]) for n, k in (("dup", "4_1"), ("dup", "5_2"), ("3_1", "3_1"))]
+    expansion = Expansion(3, (ExpansionTerm({"v2": Fraction(1)}, "3_1"),))
+    (probe,) = solve_basis_values(expansion, ["v3"], dup).probes
+    assert probe.certificate == "(2)*[dup] + (1)*[dup] forces 0 = 3"
+    _check_certificate(probe.certificate, expansion, "v3", dup)
+
+
+def test_probes_solved_together_as_apart(corpus):
+    # v3 fits the one-term expansion and v2 does not
+    half_lie = Expansion(3, (ExpansionTerm({"v3": Fraction(1)}, "3_1"),))
+    for expansion in (bundled_expansion(3), half_lie):
+        together = solve_basis_values(expansion, ["v2", "v3"], corpus).probes
+        apart = [solve_basis_values(expansion, [name], corpus).probes[0] for name in ("v2", "v3")]
+        assert list(together) == apart
+    assert [p.consistent for p in together] == [False, True]
