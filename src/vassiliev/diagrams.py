@@ -5,7 +5,11 @@ the base circle, pointing from the over passage to the under passage
 and carrying the crossing sign.  Forgetting directions and signs leaves
 the chord diagram.  Counting signed copies of small fixed patterns
 inside the arrow diagram of a code is the engine behind the pattern
-based invariant evaluators.
+based invariant evaluators.  A whole pattern file is counted in one
+walk: its based patterns form a prefix trie whose steps name each gap
+by the slot of an endpoint already placed (the start, the end, or the
+tail or head of an earlier arrow), so patterns with equal first arrows
+share those levels, and integer weights make one ``Fraction`` per file.
 
 Pattern files hold one term per line, ``<coeff> <bracket> <word>``:
 coeff is a rational like ``1`` or ``-1/2``; bracket is ``0`` for a
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from operator import or_
 from typing import Iterable, Sequence, Union
 
@@ -112,17 +117,9 @@ class Pattern:
         return " ".join(f"{order.setdefault(i, len(order) + 1)}{kind}" for i, kind in _ends(self.arrows))
 
     @cached_property
-    def plan(self) -> list[tuple[int, int, int, int, int, int, bool]]:
-        """For the matcher, per arrow in first-endpoint order: the nearest
-        endpoint positions of earlier arrows around its tail, then around
-        its head, -1 and 2k at the ends; its tail and head; whether it
-        points forward."""
-        steps, placed = [], [-1, 2 * len(self.arrows)]
-        for tail, head in self.arrows:
-            gaps = [(max(p for p in placed if p < end), min(p for p in placed if p > end)) for end in (tail, head)]
-            steps.append((*gaps[0], *gaps[1], tail, head, tail < head))
-            placed += [tail, head]
-        return steps
+    def trie(self) -> tuple:
+        """The pattern as a one-leaf trie of weight 1, for the matcher."""
+        return _trie([(self, 1)])
 
     def rotate(self, k: int) -> "Pattern":
         """Move the basepoint forward past k endpoints."""
@@ -233,49 +230,87 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(tuple(arrows))
 
 
-def count_matches(pattern: Pattern, diagram: ArrowDiagram) -> int:
+def _trie(weighted: Iterable[tuple[Pattern, int]]) -> tuple[int, tuple]:
+    """Based patterns with integer weights as a prefix trie of their steps:
+    the summed weight of the arrowless patterns, and the nodes of depth 1.
+
+    A pattern's steps are its arrows in first-endpoint order, each as the
+    slots of the placed endpoints nearest below and above its tail, then
+    its head, and whether it points forward.  Slot 0 is the start, slot 1
+    the end, slots 2j + 2 and 2j + 3 the tail and head of the j-th arrow
+    placed, so patterns whose first steps are equal share those nodes.
+    A node is ``(*step, weight, leaves, inner)``: weight sums the patterns
+    ending there, ``leaves`` are its children with no children of their
+    own, as ``(*step, weight)``, and ``inner`` the others."""
+    root: list = [0, {}]
+    for pattern, weight in weighted:
+        node, placed = root, [-1, 2 * pattern.degree]
+        for tail, head in pattern.arrows:
+            gaps = [
+                placed.index(nearest(p for p in placed if (p < end) == below))
+                for end in (tail, head)
+                for nearest, below in ((max, True), (min, False))
+            ]
+            node = node[1].setdefault((*gaps, tail < head), [0, {}])
+            placed += [tail, head]
+        node[0] += weight
+
+    def frozen(children: dict, depth: int) -> tuple[tuple, tuple]:
+        leaves, inner = [], []
+        for step, (weight, below) in children.items():
+            if below or not depth:  # the walk places depth-1 arrows one by one
+                inner.append((*step, weight, *frozen(below, depth + 1)))
+            else:
+                leaves.append((*step, weight))
+        return tuple(leaves), tuple(inner)
+
+    return root[0], frozen(root[1], 0)[1]
+
+
+def count_matches(subject: Union[Pattern, PatternExpression], diagram: ArrowDiagram) -> int:
     """Signed number of copies of the based pattern inside the diagram.
 
     A copy is a subset of the diagram's arrows whose endpoint word,
     read from the basepoint, equals the pattern's word with directions
     respected.  Each copy contributes the product of its arrow signs.
-    Pattern arrows are placed in first-endpoint order, each from one mask:
-    the arrows pointing its way with tail, and head, strictly inside its
-    gaps between the endpoints placed so far.  Strict gaps reuse no arrow
-    and keep the word's order, so the walk visits only partial copies.
-    The last arrow is not walked: per candidate of the one before, its mask
-    is built inline and its signed popcount added, times that sign.
+    For an expression the result is the sum over its based patterns of
+    coefficient times count, times the expression's ``denominator``.
+
+    The walk follows the subject's ``trie``.  Each node places one arrow
+    from one mask: the arrows pointing its way with tail, and head,
+    strictly inside the gaps its step names by slot.  Strict gaps reuse
+    no arrow and keep the word's order, so the walk visits only partial
+    copies, and patterns sharing their first arrows share that part of
+    the walk.  Leaves are not walked: per candidate of their parent, each
+    leaf's mask is built inline and its signed popcount added, times its
+    weight.
     """
-    plan = pattern.plan
-    if not plan:
-        return 1
+    weight, inner = subject.trie
     tails, heads, forward, positive = diagram.masks
     arrows = diagram.arrows
-    last = len(plan) - 1
-    lt_lo, lt_hi, lh_lo, lh_hi, _, _, ahead = plan[last]  # the last arrow's gaps and way
-    way = forward if ahead else ~forward
-    if not last:  # one arrow: every arrow pointing its way
-        return 2 * (way & positive).bit_count() - (way & ((1 << len(arrows)) - 1)).bit_count()
-    placed = [0] * (2 * len(plan)) + [2 * len(arrows), -1]  # per pattern position, then the two ends
+    ways = (~forward, forward)
+    placed = [-1, 2 * len(arrows)] + [0] * (2 * len(arrows))  # per slot; at most n arrows are placed
 
-    def walk(j: int) -> int:
-        t_lo, t_hi, h_lo, h_hi, t, h, ahead = plan[j]
-        fits = (tails[placed[t_hi]] ^ tails[placed[t_lo] + 1]) & (heads[placed[h_hi]] ^ heads[placed[h_lo] + 1])
-        fits &= forward if ahead else ~forward
+    def walk(slot: int, inner: tuple) -> int:
         total = 0
-        while fits:
-            bit = fits & -fits
-            fits ^= bit
-            arrow = arrows[bit.bit_length() - 1]
-            placed[t], placed[h] = arrow.tail, arrow.head
-            if j + 1 < last:
-                total += walk(j + 1) * arrow.sign
-            else:
-                ends = (tails[placed[lt_hi]] ^ tails[placed[lt_lo] + 1]) & (heads[placed[lh_hi]] ^ heads[placed[lh_lo] + 1]) & way
-                total += arrow.sign * (2 * (ends & positive).bit_count() - ends.bit_count())
+        for t_lo, t_hi, h_lo, h_hi, ahead, weight, leaves, below in inner:
+            fits = (tails[placed[t_hi]] ^ tails[placed[t_lo] + 1]) & (heads[placed[h_hi]] ^ heads[placed[h_lo] + 1])
+            fits &= ways[ahead]
+            while fits:
+                bit = fits & -fits
+                fits ^= bit
+                arrow = arrows[bit.bit_length() - 1]
+                placed[slot], placed[slot + 1] = arrow.tail, arrow.head
+                here = weight
+                for lt_lo, lt_hi, lh_lo, lh_hi, way, w in leaves:
+                    ends = (tails[placed[lt_hi]] ^ tails[placed[lt_lo] + 1]) & (heads[placed[lh_hi]] ^ heads[placed[lh_lo] + 1]) & ways[way]
+                    here += w * (2 * (ends & positive).bit_count() - ends.bit_count())
+                if below:
+                    here += walk(slot + 2, below)
+                total += arrow.sign * here
         return total
 
-    return walk(0)
+    return weight + walk(2, inner)
 
 
 @dataclass(frozen=True)
@@ -283,12 +318,6 @@ class PatternTerm:
     coeff: Fraction
     bracket: bool
     pattern: Pattern
-
-    @cached_property
-    def patterns(self) -> tuple[Pattern, ...]:
-        """The based patterns the term counts: every distinct rotation of
-        a bracketed pattern, else the pattern itself.  Expanded once."""
-        return self.pattern.distinct_rotations() if self.bracket else (self.pattern,)
 
 
 @dataclass(frozen=True)
@@ -301,18 +330,31 @@ class PatternExpression:
     def degree(self) -> int:
         return max((t.pattern.degree for t in self.terms), default=0)
 
+    @cached_property
+    def denominator(self) -> int:
+        """The least common denominator of the coefficients."""
+        return lcm(*(t.coeff.denominator for t in self.terms))
+
+    @cached_property
+    def trie(self) -> tuple:
+        """The based patterns of every term, weighted by its coefficient
+        times ``denominator``, as one trie for the matcher: every distinct
+        rotation of a bracketed pattern, else the pattern itself."""
+        return _trie(
+            (p, int(t.coeff * self.denominator))
+            for t in self.terms
+            for p in (t.pattern.distinct_rotations() if t.bracket else (t.pattern,))
+        )
+
 
 def evaluate_expression(expr: PatternExpression, target: ArrowDiagram) -> Fraction:
     """Sum of coeff times pattern count over the expression's terms.
 
     A bracketed term counts every distinct basepoint rotation of its
     pattern, which makes the term's value independent of where the
-    target code is based.
+    target code is based.  The whole expression is counted in one walk.
     """
-    total = Fraction(0)
-    for term in expr.terms:
-        total += term.coeff * sum(count_matches(p, target) for p in term.patterns)
-    return total
+    return Fraction(count_matches(expr, target), expr.denominator)
 
 
 def parse_pattern_file(text: str) -> PatternExpression:

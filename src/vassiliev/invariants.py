@@ -151,15 +151,16 @@ def _bundled(file: str) -> PatternExpression:
     return parse_pattern_file(text)
 
 
-# The last code the pattern routes counted in and its arrow diagram, so the
-# routes of one report share it; one tuple, read and replaced whole.
+# The last code object the pattern routes counted in and its arrow diagram,
+# so the routes of one report share it; one tuple, read and replaced whole.
+# Only that same object reuses the diagram: an equal code builds its own.
 _last: tuple = (None, None)
 
 
 def _count(file: str, expression: PatternExpression, code: GaussCode) -> int:
     global _last
     last, diagram = _last
-    if last != code:
+    if last is not code:
         diagram = arrow_diagram_from_code(code)
         _last = code, diagram
     return _integral(evaluate_expression(expression, diagram), f"the {file} count")

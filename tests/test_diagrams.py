@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -286,3 +287,73 @@ def test_bracket_sums_over_rotations(trefoil):
     bracketed = PatternExpression((PatternTerm(Fraction(1), True, p),))
     by_hand = sum(count_matches(q, diagram) for q in p.distinct_rotations())
     assert evaluate_expression(bracketed, diagram) == by_hand
+
+
+# -- one walk per expression ---------------------------------------------------
+
+SMALL_PATTERNS = [p for k in range(5) for p in based_patterns(k)]
+
+
+def first_two(pattern: Pattern) -> Pattern:
+    """The pattern's first two arrows in first-endpoint order, packed."""
+    arrows = sorted(pattern.arrows, key=min)[:2]
+    rank = {p: i for i, p in enumerate(sorted(p for a in arrows for p in a))}
+    return Pattern(tuple((rank[t], rank[h]) for t, h in arrows))
+
+
+# 3- and 4-arrow patterns grouped by their first two arrows: the members of
+# one group share the first two levels of a trie, and the group's 2-arrow
+# key ends on a node that has children, as in a mixed-degree file
+PREFIX_GROUPS: dict = {}
+for _p in SMALL_PATTERNS:
+    if _p.degree >= 3:
+        PREFIX_GROUPS.setdefault(first_two(_p), []).append(_p)
+
+
+@given(st.integers(0, 10 ** 6))
+def test_expression_walk_agrees_with_oracle_property(seed):
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    diagram = random_diagram(rng, max_arrows=5)
+    key = rng.choice(list(PREFIX_GROUPS))
+    chosen = [key, *rng.sample(PREFIX_GROUPS[key], 3), *rng.sample(SMALL_PATTERNS, 3)]
+    coeffs = [Fraction(c) for c in ("1", "-1", "2", "1/2", "-1/3", "1/6", "3/4")]
+    terms = [PatternTerm(rng.choice(coeffs), rng.random() < 0.3, p) for p in chosen]
+    terms.append(rng.choice(terms))  # a repeated line
+    # three lines of one based pattern whose coefficients cancel
+    terms += [PatternTerm(Fraction(c), False, rng.choice(chosen)) for c in ("1/2", "-1/3", "-1/6")]
+    rng.shuffle(terms)
+    expr = PatternExpression(tuple(terms))
+    expected = sum(
+        t.coeff * sum(oracle_count(p, diagram) for p in (t.pattern.distinct_rotations() if t.bracket else [t.pattern]))
+        for t in terms
+    )
+    assert evaluate_expression(expr, diagram) == expected
+    assert count_matches(expr, diagram) == expected * expr.denominator
+
+
+def trie_widths(expression: PatternExpression) -> tuple[int, ...]:
+    """Nodes of the expression's trie per depth, leaves included."""
+    widths = Counter()
+
+    def visit(nodes, depth):
+        for *_, leaves, below in nodes:
+            widths[depth] += 1
+            widths[depth + 1] += len(leaves)
+            visit(below, depth + 1)
+
+    visit(expression.trie[1], 1)
+    return tuple(n for _, n in sorted(widths.items()) if n)
+
+
+def test_bundled_files_walk_shared_prefixes_once():
+    from importlib import resources
+
+    def bundled(name):
+        return parse_pattern_file((resources.files("vassiliev") / "patterns" / name).read_text())
+
+    # 5 based patterns, and the 8 distinct based rotations of 2 bracketed ones
+    assert trie_widths(bundled("v3_theorem.pat")) == (2, 3, 5)
+    assert trie_widths(bundled("v3_pv.pat")) == (2, 5, 8)
+    assert trie_widths(bundled("v2.pat")) == (1, 1)

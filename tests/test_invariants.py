@@ -12,6 +12,7 @@ from vassiliev import (
     chord_subdiagram,
     delta,
     epsilon,
+    format_code,
     invariant_report,
     methods,
     mirror,
@@ -326,9 +327,15 @@ def test_pattern_routes_share_one_arrow_diagram_per_code(monkeypatch, corpus, do
         for code in codes + codes[::-1]:
             built.clear()
             values = invariant_report(code, registry).values
-            # one build for the three pattern routes, none for a repeated code
-            assert built == ([] if code == last else [code])
+            # one build for the three pattern routes, none when the same code
+            # object comes again
+            assert built == ([] if code is last else [code])
             last = code
             # and each code is counted in its own diagram
             assert values["v2_pv"] == scale * values["v2_lannes"]
             assert values["v3_pv"] == values["v3_thm"] == values["v3_lannes"]
+    # an equal code that is another object builds its own diagram
+    copy = parse_gauss_code(format_code(last))
+    built.clear()
+    assert invariant_report(copy, registry).values == values
+    assert copy == last and built == [copy]

@@ -17,10 +17,12 @@ from conftest import TREFOIL
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_tracer_reaches_every_compute_layer_and_uninstalls(monkeypatch, capsys):
+def _traced(monkeypatch, capsys, argv: list[str]) -> set[str]:
+    """Run the CLI untraced, then traced on a fresh parse of the same
+    input; check the outputs agree and uninstalling restores every
+    binding; return the layers the traced run reached."""
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
-    workloads = importlib.import_module("workloads")
     modules = {
         name.partition(".")[2]: module
         for name, module in sys.modules.items()
@@ -36,20 +38,30 @@ def test_tracer_reaches_every_compute_layer_and_uninstalls(monkeypatch, capsys):
             owner = getattr(owner, cls_name)
         bound[owner, attr] = getattr(owner, attr)
 
-    assert cli.main(["compute", "--code", TREFOIL]) == 0
+    assert cli.main(argv) == 0
     plain = capsys.readouterr().out
-    # the pattern routes keep the last code's arrow diagram; drop it so
-    # the traced run builds one
-    monkeypatch.setattr(modules["invariants"], "_last", (None, None))
     tracer = spans.Tracer()
     tracer.install(modules)
     try:
-        assert modules["cli"].main(["compute", "--code", TREFOIL]) == 0
+        assert modules["cli"].main(argv) == 0
     finally:
         tracer.uninstall()
     assert capsys.readouterr().out == plain
-    missing = set(workloads.COMPUTE_LAYERS) - tracer.reached()
-    assert not missing
     assert registry == saved
     assert all(registry[name][1] is fn for name, (_, fn) in saved.items())
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in bound.items())
+    return tracer.reached()
+
+
+def test_tracer_reaches_every_compute_layer_and_uninstalls(monkeypatch, capsys):
+    # the untraced run leaves its code in invariants._last; the traced run
+    # parses an equal code anew, which still builds its own arrow diagram
+    reached = _traced(monkeypatch, capsys, ["compute", "--code", TREFOIL])
+    workloads = importlib.import_module("workloads")
+    assert not set(workloads.COMPUTE_LAYERS) - reached
+
+
+def test_tracer_reaches_every_weights_layer_and_uninstalls(monkeypatch, capsys):
+    reached = _traced(monkeypatch, capsys, ["weights", "--degree", "3", "--invariant", "v3"])
+    workloads = importlib.import_module("workloads")
+    assert not set(workloads.WEIGHTS_LAYERS) - reached
