@@ -19,6 +19,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .codes import (
     KnotRecord,
@@ -353,6 +354,7 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+@lru_cache(maxsize=None)  # built once per process: a parser is a reference cycle
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vassiliev",

@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from operator import or_
 from typing import Iterable, Sequence, Union
 
 from .codes import DoublePointPassage, GaussCode, OVER, SingularCode
@@ -89,12 +88,17 @@ class ArrowDiagram:
         0..2n, the arrows with tail, and with head, before p, so the arrows
         with tail strictly between positions a and b are
         tails[b] ^ tails[a + 1]; the forward arrows; the +1 arrows."""
-        at = _ends([(a.tail, a.head) for a in self.arrows])
-        tails = list(accumulate(((kind == "t") << d for d, kind in at), or_, initial=0))
-        heads = list(accumulate(((kind == "h") << d for d, kind in at), or_, initial=0))
-        forward = sum((a.tail < a.head) << d for d, a in enumerate(self.arrows))
-        positive = sum((a.sign > 0) << d for d, a in enumerate(self.arrows))
-        return tails, heads, forward, positive
+        tail_at, head_at = [0] * (2 * self.degree), [0] * (2 * self.degree)
+        forward = positive = 0
+        for d, a in enumerate(self.arrows):
+            bit = 1 << d
+            tail_at[a.tail] = head_at[a.head] = bit
+            if a.tail < a.head:
+                forward |= bit
+            if a.sign > 0:
+                positive |= bit
+        # one bit per position, so the running sums are the running unions
+        return list(accumulate(tail_at, initial=0)), list(accumulate(head_at, initial=0)), forward, positive
 
 
 @dataclass(frozen=True)

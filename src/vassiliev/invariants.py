@@ -22,6 +22,7 @@ from typing import Callable, Dict, Mapping
 from .codes import GaussCode
 from .coordinates import delta, epsilon
 from .diagrams import (
+    ArrowDiagram,
     PatternExpression,
     arrow_diagram_from_code,
     chord_subdiagram,
@@ -157,13 +158,15 @@ def _bundled(file: str) -> PatternExpression:
 _last: tuple = (None, None)
 
 
-def _count(file: str, expression: PatternExpression, code: GaussCode) -> int:
+def _diagram(code: GaussCode) -> ArrowDiagram:
     global _last
-    last, diagram = _last
-    if last is not code:
-        diagram = arrow_diagram_from_code(code)
-        _last = code, diagram
-    return _integral(evaluate_expression(expression, diagram), f"the {file} count")
+    if _last[0] is not code:
+        _last = code, arrow_diagram_from_code(code)
+    return _last[1]
+
+
+def _count(file: str, expression: PatternExpression, code: GaussCode) -> int:
+    return _integral(evaluate_expression(expression, _diagram(code)), f"the {file} count")
 
 
 def v2_polyak_viro(code: GaussCode) -> int:
@@ -259,6 +262,7 @@ def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> Invari
 
     Disagreements are reported, not raised.
     """
+    _diagram(code)  # built before the routes, so no route's time includes it
     values = {name: registry[name][1](code) for name in REPORT_COLUMNS}
     seen: Dict[int, set] = {}
     for name, value in values.items():

@@ -202,24 +202,23 @@ def resolve_singular(s: SingularCode) -> list[tuple[int, GaussCode]]:
         else:
             new_label[l] = l
     index = {l: i for i, l in enumerate(dps)}
-
+    # Every resolution has the same labels at the same positions, so one
+    # pairing table and one pair of passages per double-point visit serve all.
+    ends = {(Passage, new_label[l]) if k is DoublePointPassage else (k, l): hits for (k, l), hits in s.ends.items()}
+    visits = []  # (position, bit, (positive, negative passage))
+    for i, p in enumerate(s.passages):
+        if not isinstance(p, Passage):
+            first, second = (OVER, UNDER) if p.visit == "a" else (UNDER, OVER)
+            label = new_label[p.label]
+            visits.append((i, index[p.label], (Passage(label, first, 1), Passage(label, second, -1))))
     out = []
     for mask in range(1 << len(dps)):
-        passages = []
-        for p in s.passages:
-            if isinstance(p, Passage):
-                passages.append(p)
-                continue
-            negative = (mask >> index[p.label]) & 1
-            label = new_label[p.label]
-            if negative:
-                role = UNDER if p.visit == "a" else OVER
-                passages.append(Passage(label, role, -1))
-            else:
-                role = OVER if p.visit == "a" else UNDER
-                passages.append(Passage(label, role, 1))
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        out.append((sign, GaussCode(tuple(passages))))
+        passages = list(s.passages)
+        for i, bit, choice in visits:
+            passages[i] = choice[mask >> bit & 1]
+        code = GaussCode(tuple(passages))
+        code.__dict__["ends"] = ends
+        out.append((-1 if mask.bit_count() % 2 else 1, code))
     return out
 
 
@@ -335,8 +334,5 @@ def weight_from_invariant(
     table: Dict[ChordDiagram, Fraction] = {}
     for d in enumerate_chord_diagrams(n):
         code = realize_chord_diagram(d)
-        total = Fraction(0)
-        for sign, resolved in resolve_singular(code):
-            total += sign * Fraction(v(resolved))
-        table[d] = total
+        table[d] = Fraction(sum(sign * v(resolved) for sign, resolved in resolve_singular(code)))
     return WeightSystem(n, table, name or f"induced[{getattr(v, '__name__', 'v')}]@{n}")

@@ -207,6 +207,26 @@ def test_verify_refuses_negative_counts(capsys, argv):
     assert "non-negative" in captured.err
 
 
+def test_repeated_calls_leave_no_argparse_garbage(capsys):
+    # the parser is built once per process; built per call, each one was a
+    # reference cycle that only the garbage collector freed
+    import gc
+
+    assert main(["verify", "--suite", "calibration"]) == 0
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(5):
+            assert main(["verify", "--suite", "calibration"]) == 0
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+
+
 def test_verify_refuses_realization_past_the_enumeration_limit(capsys, monkeypatch):
     from vassiliev import cli
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +121,25 @@ def test_singular_code_arrows():
     code = parse_singular_code("X1a O2+ X1b U2+")
     diagram = arrow_diagram_from_code(code)
     assert diagram.arrows == (Arrow(0, 2, 1), Arrow(1, 3, 1))
+
+
+# ArrowDiagram.masks as first written, kept as the oracle: the endpoint
+# at each position, then one generator pass per mask.
+def oracle_masks(diagram: ArrowDiagram):
+    at: list = [None] * (2 * len(diagram.arrows))
+    for i, a in enumerate(diagram.arrows):
+        at[a.tail], at[a.head] = (i, "t"), (i, "h")
+    tails = list(itertools.accumulate(((kind == "t") << d for d, kind in at), or_, initial=0))
+    heads = list(itertools.accumulate(((kind == "h") << d for d, kind in at), or_, initial=0))
+    forward = sum((a.tail < a.head) << d for d, a in enumerate(diagram.arrows))
+    positive = sum((a.sign > 0) << d for d, a in enumerate(diagram.arrows))
+    return tails, heads, forward, positive
+
+
+@given(st.integers(0, 10 ** 6))
+def test_masks_agree_with_oracle_property(seed):
+    diagram = random_diagram(random.Random(seed), max_arrows=12)
+    assert diagram.masks == oracle_masks(diagram)
 
 
 def test_arrow_diagram_refuses_label_met_four_times():

@@ -309,6 +309,19 @@ def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
         assert len(pair_classes) == len(pairs) and len(triple_classes) == len(triples)
 
 
+def test_report_builds_the_shared_diagram_before_any_route(monkeypatch, trefoil):
+    events = []
+    build = invariants.arrow_diagram_from_code
+    monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: events.append("build") or build(code))
+    monkeypatch.setattr(invariants, "_last", (None, None))
+    registry = {
+        name: (degree, lambda code, fn=fn, name=name: events.append(name) or fn(code))
+        for name, (degree, fn) in INVARIANTS.items()
+    }
+    assert invariant_report(trefoil, registry).consistent
+    assert events == ["build", *REPORT_COLUMNS]
+
+
 def test_routes_agree_on_a_large_braid_closure():
     code = _closure(160, 160)
     report = invariant_report(code)

@@ -17,7 +17,18 @@ from vassiliev import (
     weight_from_invariant,
     weight_system_from_function,
 )
-from vassiliev.codes import OVER, embedding_genus, format_code, is_realizable, validate
+from vassiliev.codes import (
+    DoublePointPassage,
+    GaussCode,
+    OVER,
+    Passage,
+    SingularCode,
+    UNDER,
+    embedding_genus,
+    format_code,
+    is_realizable,
+    validate,
+)
 from vassiliev import weights
 from vassiliev.errors import CheckFailed, TooLarge, WrongDegree
 from vassiliev.invariants import v2, v3
@@ -182,11 +193,75 @@ def test_resolution_keeps_ordinary_crossings():
         assert resolved.sign_of("1") == 1  # the old crossing, relabeled first
 
 
+# The resolution as first written, kept as the oracle: every code is built
+# passage by passage, and its pairing table is left for GaussCode to walk.
+def oracle_resolve(s):
+    dps = s.double_points
+    taken = {p.label for p in s.passages if isinstance(p, Passage)}
+    fresh = 1 + max(
+        (int(l) for l in taken | set(dps) if l.isdigit()), default=0
+    )
+    new_label = {}
+    for l in dps:
+        if l in taken:
+            new_label[l] = str(fresh)
+            fresh += 1
+        else:
+            new_label[l] = l
+    index = {l: i for i, l in enumerate(dps)}
+
+    out = []
+    for mask in range(1 << len(dps)):
+        passages = []
+        for p in s.passages:
+            if isinstance(p, Passage):
+                passages.append(p)
+                continue
+            negative = (mask >> index[p.label]) & 1
+            label = new_label[p.label]
+            if negative:
+                role = UNDER if p.visit == "a" else OVER
+                passages.append(Passage(label, role, -1))
+            else:
+                role = OVER if p.visit == "a" else UNDER
+                passages.append(Passage(label, role, 1))
+        sign = -1 if bin(mask).count("1") % 2 else 1
+        out.append((sign, GaussCode(tuple(passages))))
+    return out
+
+
+def check_resolutions(code):
+    """Signed codes as the oracle builds them; each handed-over pairing
+    table equal, in order, to the one a fresh code walks."""
+    terms = resolve_singular(code)
+    assert [(sign, format_code(r)) for sign, r in terms] == [
+        (sign, format_code(r)) for sign, r in oracle_resolve(code)
+    ]
+    for _, resolved in terms:
+        assert list(resolved.ends.items()) == list(GaussCode(resolved.passages).ends.items())
+    return terms
+
+
+@pytest.mark.parametrize("code", [
+    parse_singular_code("O1+ U1+"),  # no double point: the code itself
+    parse_singular_code("X1a O2+ X1b U2+"),  # double point 1 takes label 2
+    parse_singular_code("X2a X1a O1- X2b X1b U1-"),
+    # written labels: x is taken by a crossing, 7 is not
+    SingularCode((
+        DoublePointPassage("x", "a"), Passage("x", OVER, 1), DoublePointPassage("7", "a"),
+        DoublePointPassage("x", "b"), Passage("x", UNDER, 1), DoublePointPassage("7", "b"),
+    )),
+])
+def test_resolutions_agree_with_the_oracle_on_written_codes(code):
+    check_resolutions(code)
+
+
 # -- planar realization ----------------------------------------------------------
 
 def check_realization(d: ChordDiagram, resolutions: bool = True):
     """Round trip, planarity, and one ordinary crossing per finger tip plus
-    four per interleaved pair."""
+    four per interleaved pair; with resolutions, every resolved code as the
+    oracle builds it, and planar."""
     code = realize_chord_diagram(d)
     assert not validate(code)
     assert double_point_diagram(code) == d
@@ -194,7 +269,7 @@ def check_realization(d: ChordDiagram, resolutions: bool = True):
     ordinary = sum(hasattr(p, "role") for p in code.passages) // 2
     assert ordinary == d.degree + 4 * len(crossing_pairs(d))
     if resolutions:
-        terms = resolve_singular(code)
+        terms = check_resolutions(code)
         assert len(terms) == 2 ** d.degree
         assert all(is_realizable(resolved) for _, resolved in terms)
 
