@@ -37,6 +37,7 @@ from .expansion import bundled_expansion, check_expansion, load_expansion, solve
 from .invariants import (
     CANONICAL,
     INVARIANTS,
+    PATTERN_FILES,
     REPORT_COLUMNS,
     family,
     invariant_report,
@@ -49,10 +50,9 @@ from .weights import (
     enumerate_chord_diagrams,
     four_term_quadruples,
     realize_chord_diagram,
-    w2,
-    w3,
     weight_from_invariant,
     weight_system_from_function,
+    weight_systems,
 )
 
 _TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -144,11 +144,13 @@ def _weight_system(args, registry):
         if args.degree < degree:
             raise WrongDegree(f"{args.invariant} has degree {degree}; it induces no weight system at degree {args.degree}")
         return weight_from_invariant(fn, args.degree, args.invariant)
-    if args.degree == 2:
-        return weight_system_from_function(w2, 2, "w2")
-    if args.degree == 3:
-        return weight_system_from_function(w3, 3, "w3")
-    raise VassilievError(f"no bundled weight system of degree {args.degree}; use --invariant")
+    if args.degree not in weight_systems():
+        raise VassilievError(f"no bundled weight system of degree {args.degree}; use --invariant")
+    return _bundled_system(args.degree)
+
+
+def _bundled_system(degree: int):
+    return weight_system_from_function(weight_systems()[degree], degree, f"w{degree}")
 
 
 def cmd_weights(args, registry) -> int:
@@ -216,8 +218,7 @@ def _suite_calibration(args, registry):
 
 
 def _suite_relations(args, registry):
-    for ws in (weight_system_from_function(w2, 2, "w2"),
-               weight_system_from_function(w3, 3, "w3")):
+    for ws in map(_bundled_system, weight_systems()):
         report = check_relations(ws)
         if not (report.one_term_ok and report.four_term_ok):
             return False, f"{ws.name}: {report.violations[0]}"
@@ -231,7 +232,7 @@ def _suite_relations(args, registry):
 def _suite_weights(args, registry):
     # each canonical invariant induces w2 or w3 at its own degree and
     # vanishes at every higher one
-    references = {2: w2, 3: w3}
+    references = weight_systems()
     checks = 0
     for name in CANONICAL:
         degree, fn = registry[name]
@@ -247,9 +248,9 @@ def _suite_weights(args, registry):
 
 def _suite_4t(args, registry):
     degree = args.degree
-    if degree not in (2, 3):
+    if degree not in weight_systems():
         raise VassilievError("the 4t suite needs --degree 2 or 3")
-    report = check_relations(weight_system_from_function(w2 if degree == 2 else w3, degree, f"w{degree}"))
+    report = check_relations(_bundled_system(degree))
     if not report.four_term_ok:
         return False, next(v for v in report.violations if v.startswith("4T:"))
     return True, f"{len(four_term_quadruples(degree))} quadruples at degree {degree}"
@@ -369,10 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
 
     def add_patterns(p):
-        p.add_argument(
-            "--patterns-dir",
-            help="directory holding v2.pat, v3_pv.pat and v3_theorem.pat to count instead of the bundled ones",
-        )
+        files = ", ".join(PATTERN_FILES[:-1]) + " and " + PATTERN_FILES[-1]
+        p.add_argument("--patterns-dir", help=f"directory holding {files} to count instead of the bundled ones")
 
     p = sub.add_parser("compute", help="evaluate the invariants on knots")
     add_io(p)

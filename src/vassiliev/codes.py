@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from importlib import resources
 from typing import Iterator, Mapping, Optional, Union
 
 from .errors import (
@@ -166,6 +167,12 @@ class KnotRecord:
     expected: Optional[Mapping[str, Fraction]] = None
 
 
+def _paired(code: Union[GaussCode, SingularCode], ends: dict) -> Union[GaussCode, SingularCode]:
+    """The code, given ``ends``, a table equal to its own, as its pairing table."""
+    code.__dict__["ends"] = ends  # where cached_property keeps its value
+    return code
+
+
 def _diagnose(code: Union[GaussCode, SingularCode]) -> list[Diagnostic]:
     # Crossing findings first, then double points, each sorted by label.
     out: list[Diagnostic] = []
@@ -241,8 +248,7 @@ def _parse(text: str, kind: type) -> Union[GaussCode, SingularCode]:
         for p in passages
     ))
     # the pairing table is the raw code's under the new labels: hand it over
-    code.__dict__["ends"] = {(k, new[k, label]): hits for (k, label), hits in raw.ends.items()}
-    return code
+    return _paired(code, {(k, new[k, label]): hits for (k, label), hits in raw.ends.items()})
 
 
 def parse_gauss_code(text: str) -> GaussCode:
@@ -559,9 +565,4 @@ def load_knot_table(path) -> list[KnotRecord]:
 
 def bundled_knot_table() -> list[KnotRecord]:
     """The knot table shipped with the package."""
-    from importlib import resources
-
-    text = (resources.files("vassiliev") / "fixtures" / "knots.jsonl").read_text(
-        encoding="utf-8"
-    )
-    return parse_knot_table(text)
+    return load_knot_table(resources.files("vassiliev") / "fixtures" / "knots.jsonl")

@@ -68,15 +68,13 @@ def _ends(arrows: Sequence[tuple[int, int]]) -> list[tuple[int, str]]:
 
 @dataclass(frozen=True)
 class ArrowDiagram:
-    """Arrows on 2n based circle positions, every position used once."""
+    """Arrows on 2n based circle positions, every position used once, kept
+    in the order given: ``masks`` numbers them by it, and no count depends on it."""
 
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
         _check_positions((a.tail, a.head) for a in self.arrows)
-        object.__setattr__(
-            self, "arrows", tuple(sorted(self.arrows, key=lambda a: min(a.tail, a.head)))
-        )
 
     @property
     def degree(self) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .codes import GaussCode, KnotRecord
@@ -119,14 +120,10 @@ def load_expansion(path) -> Expansion:
 
 def bundled_expansion(degree: int) -> Expansion:
     """The packaged expansion of the given degree (2 or 3)."""
-    from importlib import resources
-
-    entry = resources.files("vassiliev") / "expansions" / f"n{degree}.json"
     try:
-        text = entry.read_text(encoding="utf-8")
+        return load_expansion(resources.files("vassiliev") / "expansions" / f"n{degree}.json")
     except FileNotFoundError as exc:
         raise VassilievError(f"no bundled expansion of degree {degree}") from exc
-    return parse_expansion(text)
 
 
 def _method(registry: Registry, name: str) -> tuple[int, Callable[[GaussCode], int]]:

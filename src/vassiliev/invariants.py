@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
 from operator import xor
@@ -23,12 +22,10 @@ from .codes import GaussCode
 from .coordinates import delta, epsilon
 from .diagrams import (
     ArrowDiagram,
-    PatternExpression,
     arrow_diagram_from_code,
     chord_subdiagram,
     evaluate_expression,
     load_pattern_file,
-    parse_pattern_file,
 )
 from .errors import NonIntegerResult
 from .weights import w2, w3
@@ -39,10 +36,6 @@ from .weights import w2, w3
 # either constant breaks the trefoil calibration.
 V2_SIGN = -1
 V3_SIGN = -1
-
-_V2_FILE = "v2.pat"
-_V3_PV_FILE = "v3_pv.pat"
-_V3_THM_FILE = "v3_theorem.pat"
 
 
 def _integral(value: Fraction, what: str) -> int:
@@ -144,14 +137,6 @@ def v3_lannes(code: GaussCode) -> int:
     return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
 
 
-@lru_cache(maxsize=None)
-def _bundled(file: str) -> PatternExpression:
-    text = (resources.files("vassiliev") / "patterns" / file).read_text(
-        encoding="utf-8"
-    )
-    return parse_pattern_file(text)
-
-
 # The last code object the pattern routes counted in and its arrow diagram,
 # so the routes of one report share it; one tuple, read and replaced whole.
 # Only that same object reuses the diagram: an equal code builds its own.
@@ -165,27 +150,26 @@ def _diagram(code: GaussCode) -> ArrowDiagram:
     return _last[1]
 
 
-def _count(file: str, expression: PatternExpression, code: GaussCode) -> int:
-    return _integral(evaluate_expression(expression, _diagram(code)), f"the {file} count")
+def _counter(file: str, name: str, doc: str, patterns_dir=resources.files("vassiliev") / "patterns") -> Callable[[GaussCode], int]:
+    """The evaluator ``name`` that counts one pattern file in the shared
+    arrow diagram.  The file is read once, here, from patterns_dir (by
+    default the package's), and the evaluator records it as ``pattern_file``."""
+    expression = load_pattern_file(Path(patterns_dir) / file)
+
+    def count(code: GaussCode) -> int:
+        return _integral(evaluate_expression(expression, _diagram(code)), f"the {file} count")
+
+    count.__name__ = count.__qualname__ = name
+    count.__doc__, count.pattern_file = doc, file
+    return count
 
 
-def v2_polyak_viro(code: GaussCode) -> int:
-    """Degree 2 invariant as the signed count of one based two-arrow
-    pattern."""
-    return _count(_V2_FILE, _bundled(_V2_FILE), code)
-
-
-def v3_polyak_viro(code: GaussCode) -> int:
-    """Degree 3 invariant from two rotation-summed three-arrow patterns,
-    the second weighted 1/2."""
-    return _count(_V3_PV_FILE, _bundled(_V3_PV_FILE), code)
-
-
-def v3_theorem(code: GaussCode) -> int:
-    """Degree 3 invariant as the plain sum of five based three-arrow
-    patterns with unit coefficients."""
-    return _count(_V3_THM_FILE, _bundled(_V3_THM_FILE), code)
-
+v2_polyak_viro = _counter("v2.pat", "v2_polyak_viro", """Degree 2 invariant as the signed count of one based two-arrow
+    pattern.""")
+v3_polyak_viro = _counter("v3_pv.pat", "v3_polyak_viro", """Degree 3 invariant from two rotation-summed three-arrow patterns,
+    the second weighted 1/2.""")
+v3_theorem = _counter("v3_theorem.pat", "v3_theorem", """Degree 3 invariant as the plain sum of five based three-arrow
+    patterns with unit coefficients.""")
 
 # The canonical evaluators: the pattern count for v2, the five-pattern
 # sum for v3.  They are the same functions, so a registry that rebinds
@@ -216,6 +200,7 @@ def family(name: str) -> str:
 
 REPORT_COLUMNS = tuple(name for name in INVARIANTS if family(name))
 CANONICAL = tuple(name for name in INVARIANTS if not family(name))
+PATTERN_FILES = tuple(sorted({fn.pattern_file for _, fn in INVARIANTS.values() if hasattr(fn, "pattern_file")}))
 
 Registry = Mapping[str, tuple[int, Callable[[GaussCode], int]]]
 
@@ -223,25 +208,17 @@ Registry = Mapping[str, tuple[int, Callable[[GaussCode], int]]]
 def methods(patterns_dir=None) -> Registry:
     """The method registry, name -> (degree, evaluator).
 
-    Without a directory this is INVARIANTS itself.  With one, v2.pat,
-    v3_pv.pat and v3_theorem.pat are read from it once, here, and every
-    name whose evaluator counts one of those files, v2 and v3 included,
-    counts the loaded copy instead.  A missing or malformed file raises
-    before anything is evaluated.
+    Without a directory this is INVARIANTS itself.  With one, each of
+    PATTERN_FILES is read from it once, here, and every name whose
+    evaluator counts that file, v2 and v3 included, counts the loaded
+    copy instead.  A missing or malformed file raises before anything is
+    evaluated.
     """
     if patterns_dir is None:
         return INVARIANTS
-
-    def loaded(file: str) -> Callable[[GaussCode], int]:
-        expression = load_pattern_file(Path(patterns_dir) / file)
-        return lambda code: _count(file, expression, code)
-
-    bound = {
-        v2_polyak_viro: loaded(_V2_FILE),
-        v3_polyak_viro: loaded(_V3_PV_FILE),
-        v3_theorem: loaded(_V3_THM_FILE),
-    }
-    return {name: (degree, bound.get(fn, fn)) for name, (degree, fn) in INVARIANTS.items()}
+    counted = {fn.pattern_file: fn for _, fn in INVARIANTS.values() if hasattr(fn, "pattern_file")}
+    loaded = {file: _counter(file, fn.__name__, fn.__doc__, patterns_dir) for file, fn in sorted(counted.items())}
+    return {name: (degree, loaded.get(getattr(fn, "pattern_file", None), fn)) for name, (degree, fn) in INVARIANTS.items()}
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .codes import (
     Passage,
     SingularCode,
     UNDER,
+    _fresh_labels,
+    _paired,
     embedding_genus,
     validate,
 )
@@ -79,6 +81,12 @@ def w3(d: ChordDiagram) -> int:
         raise WrongDegree(f"w3 needs 3 chords, got {d.degree}")
     edges = sum(interleaved(d, i, j) for i, j in combinations(range(3), 2))
     return {3: 2, 2: 1}.get(edges, 0)
+
+
+def weight_systems() -> Dict[int, Callable[[ChordDiagram], int]]:
+    """The weight systems defined here, by degree, read from this module's
+    names on each call, so a wrapper bound over w2 or w3 is the one held."""
+    return {2: w2, 3: w3}
 
 
 @dataclass
@@ -191,16 +199,8 @@ def resolve_singular(s: SingularCode) -> list[tuple[int, GaussCode]]:
     """
     dps = s.double_points
     taken = {p.label for p in s.passages if isinstance(p, Passage)}
-    fresh = 1 + max(
-        (int(l) for l in taken | set(dps) if l.isdigit()), default=0
-    )
-    new_label = {}
-    for l in dps:
-        if l in taken:
-            new_label[l] = str(fresh)
-            fresh += 1
-        else:
-            new_label[l] = l
+    fresh = iter(_fresh_labels(s, len(dps)))
+    new_label = {l: next(fresh) if l in taken else l for l in dps}
     index = {l: i for i, l in enumerate(dps)}
     # Every resolution has the same labels at the same positions, so one
     # pairing table and one pair of passages per double-point visit serve all.
@@ -216,9 +216,7 @@ def resolve_singular(s: SingularCode) -> list[tuple[int, GaussCode]]:
         passages = list(s.passages)
         for i, bit, choice in visits:
             passages[i] = choice[mask >> bit & 1]
-        code = GaussCode(tuple(passages))
-        code.__dict__["ends"] = ends
-        out.append((-1 if mask.bit_count() % 2 else 1, code))
+        out.append((-1 if mask.bit_count() % 2 else 1, _paired(GaussCode(tuple(passages)), ends)))
     return out
 
 

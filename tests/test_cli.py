@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vassiliev
 from vassiliev.cli import main
 
 from conftest import TREFOIL
@@ -17,10 +21,39 @@ def run(capsys, *argv):
 
 # -- compute -------------------------------------------------------------------
 
+TREFOIL_LINE = "name=-  v2_lannes=1  v2_pv=1  v3_lannes=1  v3_pv=1  v3_thm=1  consistent=yes\n"
+
+
 def test_compute_trefoil(capsys):
-    code, out, _ = run(capsys, "compute", "--code", TREFOIL)
-    assert code == 0
-    assert "v2_lannes=1" in out and "v3_thm=1" in out and "consistent=yes" in out
+    assert run(capsys, "compute", "--code", TREFOIL) == (0, TREFOIL_LINE, "")
+
+
+def test_cli_under_optimize_from_another_directory(tmp_path):
+    # bundled files are found from any working directory, and under -O,
+    # which strips assert statements, a guard still refuses bad input
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "vassiliev.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = cli("compute", "--code", TREFOIL)
+    assert (done.returncode, done.stdout, done.stderr) == (0, TREFOIL_LINE, "")
+    done = cli("compute", "--code", "O1+ O1+")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: crossing 1 has passages O/O, needs exactly one O and one U\n"
+
+
+def test_compute_help_names_every_counted_file(capsys):
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "directory holding v2.pat, v3_pv.pat and v3_theorem.pat to count instead" in help_text
+    bundled = (Path(vassiliev.__file__).parent / "patterns").glob("*.pat")
+    assert all(p.name in help_text for p in bundled)
 
 
 def test_compute_empty_code(capsys):
@@ -181,9 +214,9 @@ def test_verify_4t_degree_bounds(capsys):
 
 
 def test_verify_4t_reports_violation(capsys, monkeypatch):
-    from vassiliev import cli
+    from vassiliev import weights
 
-    monkeypatch.setattr(cli, "w3", lambda d: 1 if cli.chord_word(d) == "1 2 3 1 2 3" else 0)
+    monkeypatch.setattr(weights, "w3", lambda d: 1 if weights.chord_word(d) == "1 2 3 1 2 3" else 0)
     code, out, _ = run(capsys, "verify", "--suite", "4t")
     assert code == 1
     assert out.startswith("FAIL 4t: 4T: ")

@@ -142,6 +142,24 @@ def test_masks_agree_with_oracle_property(seed):
     assert diagram.masks == oracle_masks(diagram)
 
 
+@given(st.integers(0, 10 ** 6), st.data())
+def test_masks_and_counts_ignore_arrow_order_property(seed, data):
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    diagram = random_diagram(rng, max_arrows=6)
+    order = data.draw(st.permutations(range(diagram.degree)))
+    shuffled = ArrowDiagram(tuple(diagram.arrows[i] for i in order))
+    assert shuffled.arrows == tuple(diagram.arrows[i] for i in order)  # kept as given
+    assert shuffled.masks == oracle_masks(shuffled)
+    terms = tuple(
+        PatternTerm(Fraction(rng.choice((1, -1, 2))), rng.random() < 0.3, rng.choice(SMALL_PATTERNS))
+        for _ in range(rng.randint(1, 6))
+    )
+    expression = PatternExpression(terms)
+    assert count_matches(expression, shuffled) == count_matches(expression, diagram)
+
+
 def test_arrow_diagram_refuses_label_met_four_times():
     four = GaussCode(tuple(Passage("1", role, 1) for role in "OUOU"))
     with pytest.raises(UnbalancedLabel, match="occurs 4 times"):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,47 @@ def test_patterns_dir_override(doubled_v2_dir, trefoil):
     assert registry["v3"][1](trefoil) == v3(trefoil)
     assert registry["v2_lannes"] == INVARIANTS["v2_lannes"]
     assert methods() is INVARIANTS
+
+
+BUNDLED_PATTERNS = sorted(p.name for p in (Path(invariants.__file__).parent / "patterns").glob("*.pat"))
+
+
+def pattern_evaluators(registry):
+    """The distinct pattern evaluators of a registry, by identity."""
+    return {id(fn): fn for _, fn in registry.values() if hasattr(fn, "pattern_file")}.values()
+
+
+def test_each_bundled_pattern_file_is_counted_by_one_evaluator():
+    counted = sorted(fn.pattern_file for fn in pattern_evaluators(INVARIANTS))
+    assert counted == BUNDLED_PATTERNS == list(invariants.PATTERN_FILES)
+
+
+def test_patterns_dir_rebinds_every_pattern_evaluator(doubled_v2_dir, monkeypatch):
+    reads = []
+    load = invariants.load_pattern_file
+    monkeypatch.setattr(invariants, "load_pattern_file", lambda path: reads.append(Path(path).name) or load(path))
+    m = methods(doubled_v2_dir)
+    assert reads == BUNDLED_PATTERNS  # each file once, in one call
+    for name, (degree, fn) in INVARIANTS.items():
+        assert m[name][0] == degree
+        if hasattr(fn, "pattern_file"):
+            assert m[name][1] is not fn and m[name][1].pattern_file == fn.pattern_file
+        else:
+            assert m[name][1] is fn
+    assert m["v2"][1] is m["v2_pv"][1] and m["v3"][1] is m["v3_thm"][1]
+    assert len(pattern_evaluators(m)) == len(BUNDLED_PATTERNS)
+
+
+def test_public_pattern_evaluators_keep_name_and_doc():
+    docs = {
+        "v2_polyak_viro": "Degree 2 invariant as the signed count of one based two-arrow pattern.",
+        "v3_polyak_viro": "Degree 3 invariant from two rotation-summed three-arrow patterns, the second weighted 1/2.",
+        "v3_theorem": "Degree 3 invariant as the plain sum of five based three-arrow patterns with unit coefficients.",
+    }
+    for name, doc in docs.items():
+        fn = getattr(invariants, name)
+        assert (fn.__name__, " ".join(fn.__doc__.split())) == (name, doc)
+    assert v2 is v2_polyak_viro and v3 is v3_theorem
 
 
 def test_patterns_dir_needs_every_file(doubled_v2_dir):
