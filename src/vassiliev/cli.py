@@ -31,7 +31,6 @@ from .codes import (
     rotate_basepoint,
 )
 from .coordinates import coordinate_table
-from .diagrams import double_point_diagram
 from .errors import NonPlanarCode, TooLarge, VassilievError, WrongDegree
 from .expansion import bundled_expansion, check_expansion, load_expansion, solve_basis_values
 from .invariants import (
@@ -39,6 +38,7 @@ from .invariants import (
     INVARIANTS,
     PATTERN_FILES,
     REPORT_COLUMNS,
+    canonical,
     family,
     invariant_report,
     methods,
@@ -54,8 +54,6 @@ from .weights import (
     weight_system_from_function,
     weight_systems,
 )
-
-_TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 
 
 def _rat(value) -> str:
@@ -207,12 +205,14 @@ def cmd_expansion(args, registry) -> int:
 
 
 def _suite_calibration(args, registry):
+    # each column must give the bundled expected value of its invariant
+    knots = {record.name: record for record in bundled_knot_table()}
     checks = 0
-    for word, want in (("", 0), (_TREFOIL, 1)):
-        report = invariant_report(parse_gauss_code(word), registry)
-        for column, value in report.values.items():
+    for name in ("unknot", "3_1"):
+        for column, value in invariant_report(knots[name].code, registry).values.items():
+            want = knots[name].expected.get(canonical(column))
             if value != want:
-                return False, f"{column} on {word!r} gave {value}, want {want}"
+                return False, f"{column} on {name} gave {value}, want {want}"
             checks += 1
     return True, f"{checks} values"
 
@@ -230,12 +230,14 @@ def _suite_relations(args, registry):
 
 
 def _suite_weights(args, registry):
-    # each canonical invariant induces w2 or w3 at its own degree and
-    # vanishes at every higher one
+    # each canonical invariant induces its reference weight system at its
+    # own degree and vanishes at every higher one
     references = weight_systems()
     checks = 0
     for name in CANONICAL:
         degree, fn = registry[name]
+        if degree not in references:
+            return False, f"{name} has no reference weight system at degree {degree}"
         for n in range(degree, max(references) + 1):
             derived = weight_from_invariant(fn, n, f"{name}@{n}")
             for d, got in derived.table.items():
@@ -287,9 +289,9 @@ def _suite_invariance(args, registry):
 
     for record in corpus:
         report = invariant_report(record.code, registry)
-        for degree, agree in report.agreement.items():
+        for key, agree in report.agreement.items():
             if not agree:
-                return False, f"{record.name}: v{degree} methods disagree"
+                return False, f"{record.name}: {key} methods disagree"
         values = report.values
         baseline.append(values)
         for k in range(1, len(record.code.passages)):
@@ -311,14 +313,10 @@ def _suite_invariance(args, registry):
 def _suite_realization(args, registry):
     if args.degree > MAX_ENUM_DEGREE:
         raise TooLarge(f"the realization suite enumerates at most degree {MAX_ENUM_DEGREE}, got --degree {args.degree}")
-    count = 0
-    for degree in range(args.degree + 1):
-        for d in enumerate_chord_diagrams(degree):
-            code = realize_chord_diagram(d)
-            if double_point_diagram(code) != d:
-                return False, f"round trip failed on {chord_word(d)}"
-            count += 1
-    return True, f"{count} diagrams through degree {args.degree}"
+    diagrams = [d for degree in range(args.degree + 1) for d in enumerate_chord_diagrams(degree)]
+    for d in diagrams:
+        realize_chord_diagram(d)  # raises unless d's double points trace back to d
+    return True, f"{len(diagrams)} diagrams through degree {args.degree}"
 
 
 _SUITES = {
@@ -403,8 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check", "solve"))
     p.add_argument("--file", help="expansion JSON path (default: bundled for --degree)")
     p.add_argument("--degree", type=int, default=3, choices=(2, 3))
-    p.add_argument("--table", help="JSON-lines knot table path (default: bundled)")
-    p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
+    add_io(p, code_input=False)
     add_patterns(p)
     p.set_defaults(func=cmd_expansion, code=None)
 

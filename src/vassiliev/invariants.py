@@ -198,6 +198,11 @@ def family(name: str) -> str:
     return name.partition("_")[2]
 
 
+def canonical(name: str) -> str:
+    """The invariant a registry name computes ("v2" for "v2_lannes")."""
+    return name.partition("_")[0]
+
+
 REPORT_COLUMNS = tuple(name for name in INVARIANTS if family(name))
 CANONICAL = tuple(name for name in INVARIANTS if not family(name))
 PATTERN_FILES = tuple(sorted({fn.pattern_file for _, fn in INVARIANTS.values() if hasattr(fn, "pattern_file")}))
@@ -223,11 +228,11 @@ def methods(patterns_dir=None) -> Registry:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """All five method values for one code, and per degree, ascending,
-    whether the methods of that degree agree."""
+    """All five method values for one code, and per invariant, by
+    canonical name and sorted, whether its methods agree."""
 
     values: Dict[str, int]
-    agreement: Dict[int, bool]
+    agreement: Dict[str, bool]
 
     @property
     def consistent(self) -> bool:
@@ -235,13 +240,13 @@ class InvariantReport:
 
 
 def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> InvariantReport:
-    """Evaluate every method; methods of equal degree must agree.
+    """Evaluate every method; methods of the same invariant must agree.
 
     Disagreements are reported, not raised.
     """
     _diagram(code)  # built before the routes, so no route's time includes it
     values = {name: registry[name][1](code) for name in REPORT_COLUMNS}
-    seen: Dict[int, set] = {}
+    seen: Dict[str, set] = {}
     for name, value in values.items():
-        seen.setdefault(registry[name][0], set()).add(value)
-    return InvariantReport(values, {degree: len(seen[degree]) == 1 for degree in sorted(seen)})
+        seen.setdefault(canonical(name), set()).add(value)
+    return InvariantReport(values, {key: len(seen[key]) == 1 for key in sorted(seen)})

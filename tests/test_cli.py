@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,37 @@ def test_verify_single_suites(capsys):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0, suite
         assert out.startswith("PASS")
+
+
+def test_calibration_follows_the_bundled_expected_values(capsys, monkeypatch):
+    # the wanted values are the bundled table's, per invariant; a column
+    # whose invariant has no expected value fails instead of being skipped
+    from vassiliev import cli
+
+    for expected, want in (({"v2": 1, "v3": 2}, "2"), ({"v2": 1}, "None")):
+        table = [r if r.name != "3_1" else replace(r, expected=expected) for r in vassiliev.bundled_knot_table()]
+        monkeypatch.setattr(cli, "bundled_knot_table", lambda: table)
+        code, out, _ = run(capsys, "verify", "--suite", "calibration")
+        assert (code, out) == (1, f"FAIL calibration: v3_lannes on 3_1 gave 1, want {want}\n")
+
+
+def test_weights_suite_fails_an_invariant_without_reference(capsys, monkeypatch):
+    from vassiliev import cli
+
+    monkeypatch.setitem(vassiliev.INVARIANTS, "v4", (4, lambda code: 0))
+    monkeypatch.setattr(cli, "CANONICAL", ("v4", *cli.CANONICAL))
+    code, out, _ = run(capsys, "verify", "--suite", "weights")
+    assert (code, out) == (1, "FAIL weights: v4 has no reference weight system at degree 4\n")
+
+
+def test_realization_suite_reports_a_broken_trace(capsys, monkeypatch):
+    from vassiliev import weights
+
+    wrong = weights.enumerate_chord_diagrams(4)[0]  # no diagram the suite realizes
+    monkeypatch.setattr(weights, "double_point_diagram", lambda code: wrong)
+    code, out, err = run(capsys, "verify", "--suite", "realization")
+    assert code == 2 and out == ""
+    assert "double point trace mismatch" in err
 
 
 def test_verify_invariance_seeded(capsys):

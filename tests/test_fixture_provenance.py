@@ -13,12 +13,15 @@ from vassiliev import format_code, is_realizable, mirror, v2, v3, validate
 from vassiliev.codes import embedding_genus
 
 from _braids import BRAID_WORDS, braid_closure, closure_permutation, connected_sum, is_knot
+from _oracles import jones_moments
 
 from conftest import TREFOIL
 
 # second Conway coefficient of the named knots, from standard tables
 A2 = {"3_1": 1, "4_1": -1, "5_1": 3, "5_2": 2, "6_1": -2, "6_2": -1, "6_3": 1}
 V3_MAGNITUDE = {"3_1": 1, "4_1": 0, "5_1": 5, "5_2": 3, "6_2": 1, "6_3": 0}
+# v3 where the table gives none, read off the Jones polynomial as -h^3 / 6
+V3_FROM_JONES = {"5_1": 5, "5_2": 3, "6_1": -1, "6_2": -1}
 
 
 def rebuild():
@@ -58,6 +61,13 @@ def test_conway_coefficients_anchor_the_names():
     codes = rebuild()
     for name, a2 in A2.items():
         assert v2(codes[name]) == a2, name
+
+
+def test_v3_where_the_table_has_none_follows_the_jones_polynomial(corpus):
+    codes = rebuild()
+    for name, want in V3_FROM_JONES.items():
+        assert "v3" not in next(r.expected for r in corpus if r.name == name), name
+        assert v3(codes[name]) == -jones_moments(codes[name])[3] / 6 == want, name
 
 
 def test_v3_magnitudes_separate_ties():

@@ -62,7 +62,7 @@ def test_expected_fixture_values(corpus):
 def test_methods_agree_on_corpus(corpus):
     for record in corpus:
         report = invariant_report(record.code)
-        assert report.consistent, record.name
+        assert report.agreement == {"v2": True, "v3": True} and report.consistent, record.name
 
 
 def test_basepoint_rotation_stability(corpus):
@@ -98,7 +98,7 @@ def test_connected_sum_additivity(corpus):
 def test_report_shape(trefoil):
     report = invariant_report(trefoil)
     assert set(report.values) == set(REPORT_COLUMNS)
-    assert report.agreement[2] and report.agreement[3] and report.consistent
+    assert report.agreement == {"v2": True, "v3": True} and report.consistent
 
 
 def test_half_sum_can_fail_on_virtual_codes():
@@ -174,10 +174,20 @@ def test_patterns_dir_needs_every_file(doubled_v2_dir):
         methods(doubled_v2_dir)
 
 
-def test_report_rule_is_agreement_within_degree(doubled_v2_dir, trefoil):
+def test_report_rule_is_agreement_within_invariant(doubled_v2_dir, trefoil):
     report = invariant_report(trefoil, methods(doubled_v2_dir))
     assert report.values["v2_pv"] == 2 and report.values["v2_lannes"] == 1
-    assert not report.agreement[2] and report.agreement[3]
+    assert report.agreement == {"v2": False, "v3": True}
+
+
+def test_same_degree_invariants_are_compared_apart(monkeypatch, trefoil):
+    # a second degree-2 invariant that differs from v2 is no disagreement
+    registry = {**INVARIANTS, "u2_lannes": (2, lambda code: 7)}
+    monkeypatch.setattr(invariants, "REPORT_COLUMNS", (*REPORT_COLUMNS, "u2_lannes"))
+    report = invariant_report(trefoil, registry)
+    assert report.values["u2_lannes"] == 7 and report.values["v2_lannes"] == 1
+    assert report.agreement == {"u2": True, "v2": True, "v3": True}
+    assert list(report.agreement) == ["u2", "v2", "v3"] and report.consistent
 
 
 # -- committed calibration choices, locked in place ---------------------------
