@@ -519,12 +519,19 @@ def random_perturbations(code: GaussCode, count: int, rng) -> list[GaussCode]:
     return out
 
 
+def parse_rational(value) -> Fraction:
+    """A JSON rational string such as "-1/2", or an integer; not a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError("want a rational string or an integer")
+    return Fraction(value)
+
+
 def parse_knot_table(text: str) -> list[KnotRecord]:
     """Parse JSON-lines knot table text.
 
     Each non-blank line is an object with "name" and "gauss" fields and
     an optional "expected" object mapping invariant names to rational
-    strings.  Problems raise ParseError carrying the line number.
+    strings or integers.  Problems raise ParseError carrying the line number.
     """
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -550,8 +557,8 @@ def parse_knot_table(text: str) -> list[KnotRecord]:
             if not isinstance(raw, dict):
                 raise ParseError(lineno, '"expected" is not an object')
             try:
-                expected = {k: Fraction(str(v)) for k, v in raw.items()}
-            except (ValueError, ZeroDivisionError) as exc:
+                expected = {k: parse_rational(v) for k, v in raw.items()}
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise ParseError(lineno, f"bad expected value: {exc}") from exc
         records.append(KnotRecord(name, parsed, expected))
     return records

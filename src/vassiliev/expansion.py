@@ -9,7 +9,8 @@ Expansion files are JSON documents:
 
 Each term's coefficient is a linear form in invariant names, weighted by
 rational strings or integers and evaluated on the knot being expanded;
-"knot" names a basis knot found once in the corpus the checker runs against.
+"knot" names a basis knot found once in the corpus the checker runs against,
+and by one term only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .codes import GaussCode, KnotRecord
+from .codes import GaussCode, KnotRecord, parse_rational
 from .errors import (
     DegreeTooHigh,
     ParseError,
@@ -41,6 +42,12 @@ class ExpansionTerm:
 class Expansion:
     degree: int
     terms: Tuple[ExpansionTerm, ...]
+
+    def __post_init__(self):
+        knots = [term.knot for term in self.terms]
+        for knot in knots:
+            if knots.count(knot) > 1:
+                raise VassilievError(f"basis knot {knot!r} is named by {knots.count(knot)} terms")
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,7 @@ def parse_expansion(text: str) -> Expansion:
         coeff: Dict[str, Fraction] = {}
         for name, weight in raw_coeff.items():
             try:
-                if isinstance(weight, bool) or not isinstance(weight, (str, int)):
-                    raise TypeError("want a rational string or an integer")
-                coeff[name] = Fraction(weight)
+                coeff[name] = parse_rational(weight)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise VassilievError(
                     f"term {k}: bad weight {weight!r} for {name!r}: {exc}"
@@ -137,7 +142,7 @@ def _probes(
     expansion: Expansion, names: Sequence[str], registry: Registry
 ) -> list[tuple[str, Callable[[GaussCode], int]]]:
     """(name, evaluator) per probe; a probe above the expansion's degree
-    is refused."""
+    is refused, and so is an empty list of probes."""
     probes = []
     for name in names:
         degree, fn = _method(registry, name)
@@ -147,6 +152,8 @@ def _probes(
                 f"expansion only claims degree {expansion.degree}"
             )
         probes.append((name, fn))
+    if not probes:
+        raise VassilievError(f"no probe invariant for an expansion of degree {expansion.degree}")
     return probes
 
 
@@ -202,26 +209,6 @@ def check_expansion(
     return ExpansionReport(tuple(rows))
 
 
-def _eliminate(rows: list[list[Fraction]], unknowns: int) -> tuple[list[list[Fraction]], list[int]]:
-    mat = [list(row) for row in rows]
-    pivot_cols = []
-    rank = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        head = mat[rank][col]
-        mat[rank] = [x / head for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    return mat, pivot_cols
-
-
 def solve_basis_values(
     expansion: Expansion,
     names: Sequence[str],
@@ -230,46 +217,51 @@ def solve_basis_values(
 ) -> SolveReport:
     """Fit probe values on the basis knots from the corpus equations.
 
-    One exact elimination for all probes.  An unsolvable system is reported
-    with a certificate naming the corpus combination that forces a
-    contradiction; a rank-deficient one raises UnderdeterminedSystem.
+    One pass over the corpus rows, in order, serves every probe.  Each row
+    is reduced against the pivot rows found before it, and keeps its
+    multipliers by corpus position (two rows may share a name).  A row
+    left with no unknowns is a combination of earlier rows; for each
+    probe, the first such row with a nonzero right-hand side is the
+    certificate of a contradiction.  A consistent system of rank below
+    the number of terms raises UnderdeterminedSystem.
     """
     probes = _probes(expansion, names, registry)
     t = len(expansion.terms)
     if len(corpus) <= t:
-        raise UnderdeterminedSystem(
-            f"corpus of {len(corpus)} knots cannot pin down {t} basis values"
-        )
-    per_knot = _corpus_values(expansion, probes, corpus, registry)
-    # columns: t unknowns, one rhs per probe, then one tracking column per
-    # corpus row; the pivots depend only on the unknowns, so one
-    # elimination serves every probe
-    rows = [
-        _term_weights(expansion, known)
-        + [known[name] for name, _ in probes]
-        + [Fraction(int(j == k)) for j in range(len(corpus))]
-        for k, known in enumerate(per_knot)
-    ]
-    mat, pivot_cols = _eliminate(rows, t)
+        raise UnderdeterminedSystem(f"corpus of {len(corpus)} knots cannot pin down {t} basis values")
+    # a pivot row is 1 at its column and 0 at the columns of earlier pivots
+    pivots: list[tuple[int, list[Fraction], Dict[int, Fraction]]] = []
+    contradictions: Dict[int, tuple[Fraction, Dict[int, Fraction]]] = {}
+    for k, known in enumerate(_corpus_values(expansion, probes, corpus, registry)):
+        row = _term_weights(expansion, known) + [known[name] for name, _ in probes]
+        mults = {k: Fraction(1)}
+        for col, pivot, pivot_mults in pivots:
+            factor = row[col]
+            if factor:
+                row = [x - factor * y for x, y in zip(row, pivot)]
+                for j, m in pivot_mults.items():
+                    mults[j] = mults.get(j, 0) - factor * m
+        col = next((c for c in range(t) if row[c]), None)
+        if col is not None:
+            head = row[col]
+            pivots.append((col, [x / head for x in row], {j: m / head for j, m in mults.items()}))
+            continue
+        for i in range(len(probes)):
+            if row[t + i]:
+                contradictions.setdefault(i, (row[t + i], mults))
     solved = []
     for i, (name, _) in enumerate(probes):
-        rhs = t + i
-        bad = next((row for row in mat if row[rhs] != 0 and not any(row[:t])), None)
-        if bad is not None:
-            # multipliers by corpus position: two rows may share a name
-            combo = " + ".join(
-                f"({mult})*[{record.name}]"
-                for record, mult in zip(corpus, bad[t + len(probes):])
-                if mult != 0
-            )
-            certificate = f"{combo} forces 0 = {bad[rhs]}"
-            solved.append(SolvedProbe(name, {}, False, certificate))
+        if i in contradictions:
+            value, mults = contradictions[i]
+            combo = " + ".join(f"({m})*[{corpus[j].name}]" for j, m in sorted(mults.items()) if m)
+            solved.append(SolvedProbe(name, {}, False, f"{combo} forces 0 = {value}"))
             continue
-        if len(pivot_cols) < t:
-            raise UnderdeterminedSystem(
-                f"probe {name}: corpus determines only "
-                f"{len(pivot_cols)} of {t} basis values"
-            )
-        values = {expansion.terms[col].knot: mat[rank][rhs] for rank, col in enumerate(pivot_cols)}
-        solved.append(SolvedProbe(name, values, True, None))
+        if len(pivots) < t:
+            raise UnderdeterminedSystem(f"probe {name}: corpus determines only {len(pivots)} of {t} basis values")
+        # back-substitute: a pivot row names only its own column and the
+        # columns of later pivots
+        values = [Fraction(0)] * t
+        for col, pivot, _ in reversed(pivots):
+            values[col] = pivot[t + i] - sum(pivot[c] * values[c] for c in range(t) if c != col)
+        solved.append(SolvedProbe(name, {term.knot: v for term, v in zip(expansion.terms, values)}, True, None))
     return SolveReport(tuple(solved))

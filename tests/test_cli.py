@@ -461,6 +461,29 @@ def test_expansion_refuses_a_repeated_basis_name(capsys, tmp_path):
     assert "'3_1' occurs 2 times" in err
 
 
+def test_expansion_refuses_a_basis_knot_named_by_two_terms(capsys, tmp_path):
+    # two unknowns under one name used to collapse: solve printed v2(3_1) = 0
+    doc = tmp_path / "twice.json"
+    doc.write_text(
+        '{"degree": 3, "terms": [{"coeff": {"v2": "1"}, "knot": "3_1"}, '
+        '{"coeff": {"v3": "1"}, "knot": "3_1"}]}'
+    )
+    for action in ("check", "solve"):
+        code, out, err = run(capsys, "expansion", action, "--file", str(doc))
+        assert (code, out) == (2, "")
+        assert "basis knot '3_1' is named by 2 terms" in err
+
+
+def test_expansion_refuses_a_degree_with_no_probe(capsys, tmp_path):
+    # no canonical invariant has degree 1: nothing would be checked
+    doc = tmp_path / "linear.json"
+    doc.write_text('{"degree": 1, "terms": [{"coeff": {"v2": "1"}, "knot": "3_1"}]}')
+    for action in ("check", "solve"):
+        code, out, err = run(capsys, "expansion", action, "--file", str(doc), "--format", "json")
+        assert (code, out) == (2, "")
+        assert "expansion of degree 1" in err
+
+
 def test_expansion_malformed_file(capsys, tmp_path):
     doc = tmp_path / "bad.json"
     doc.write_text("{")

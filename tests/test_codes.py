@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -403,6 +404,16 @@ def test_parse_knot_table_error_lines():
     with pytest.raises(ParseError) as err:
         parse_knot_table('{"name": "k", "gauss": "", "expected": {"v2": "x"}}\n')
     assert err.value.line == 1
+
+
+def test_knot_table_values_follow_the_expansion_file_rule():
+    # rational strings or integers; a float or a boolean is refused
+    (record,) = parse_knot_table('{"name": "k", "gauss": "", "expected": {"v2": 2, "v3": "-1/2"}}\n')
+    assert record.expected == {"v2": 2, "v3": Fraction(-1, 2)}
+    for value in ("0.5", "1e2", "true"):
+        with pytest.raises(ParseError, match="rational string or an integer") as err:
+            parse_knot_table('{"name": "u", "gauss": ""}\n{"name": "k", "gauss": "", "expected": {"v2": %s}}\n' % value)
+        assert err.value.line == 2
 
 
 def test_bundled_table_contents(corpus):

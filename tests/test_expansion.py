@@ -23,6 +23,9 @@ from vassiliev.errors import (
     UnknownInvariant,
     VassilievError,
 )
+from vassiliev.expansion import SolvedProbe, SolveReport
+
+from _braids import BRAID_WORDS, braid_closure, is_knot
 
 
 def test_bundled_expansions_load():
@@ -147,6 +150,25 @@ def test_missing_basis_knot(corpus):
         check_expansion(orphan, ["v2"], corpus)
 
 
+def test_basis_knot_named_by_two_terms_refused():
+    # each term's basis knot carries its own unknown; under one name the
+    # two would collapse into one value
+    with pytest.raises(VassilievError, match="basis knot '3_1' is named by 2 terms"):
+        parse_expansion(
+            '{"degree": 3, "terms": [{"coeff": {"v2": "1"}, "knot": "3_1"}, '
+            '{"coeff": {"v3": "1"}, "knot": "3_1"}]}'
+        )
+    with pytest.raises(VassilievError, match="basis knot '3_1' is named by 2 terms"):
+        Expansion(3, (ExpansionTerm({"v2": Fraction(1)}, "3_1"), ExpansionTerm({"v3": Fraction(1)}, "3_1")))
+
+
+def test_expansion_without_probe_refused(corpus):
+    linear = parse_expansion('{"degree": 1, "terms": [{"coeff": {"v2": "1"}, "knot": "3_1"}]}')
+    for run in (check_expansion, solve_basis_values):
+        with pytest.raises(VassilievError, match="no probe invariant for an expansion of degree 1"):
+            run(linear, [], corpus)
+
+
 def test_underdetermined_cases(corpus):
     e3 = bundled_expansion(3)
     with pytest.raises(UnderdeterminedSystem):
@@ -173,22 +195,33 @@ _CERTIFICATE_TERM = re.compile(r"\((-?\d+(?:/\d+)?)\)\*\[([^\]]*)\]")
 
 
 def _check_certificate(certificate, expansion, probe, corpus):
-    """The multiplier-weighted corpus rows sum to 0 on every unknown and
-    to the stated nonzero value on the right-hand side."""
+    """Some corpus rows, in corpus order and named as the certificate
+    names them, sum under its multipliers to 0 on every unknown and to the
+    stated nonzero value on the right-hand side.  Rows may share a name,
+    so each term may stand for any later row of its name."""
     combo, _, value = certificate.rpartition(" forces 0 = ")
-    unknowns = [Fraction(0)] * len(expansion.terms)
-    rhs, k = Fraction(0), 0
-    for mult, name in _CERTIFICATE_TERM.findall(combo):
-        # terms come in corpus order: each names the next row with that name
-        while corpus[k].name != name:
-            k += 1
-        code, mult = corpus[k].code, Fraction(mult)
-        k += 1
-        for j, term in enumerate(expansion.terms):
-            unknowns[j] += mult * sum(w * INVARIANTS[n][1](code) for n, w in term.coeff.items())
-        rhs += mult * INVARIANTS[probe][1](code)
-    assert unknowns == [0] * len(expansion.terms)
-    assert rhs == Fraction(value) != 0
+    terms = _CERTIFICATE_TERM.findall(combo)
+    assert " + ".join(f"({mult})*[{name}]" for mult, name in terms) == combo
+    assert Fraction(value) != 0
+    forms = [term.coeff for term in expansion.terms] + [{probe: Fraction(1)}]
+    rows = {}
+
+    def row(k):
+        if k not in rows:
+            code = corpus[k].code
+            rows[k] = [sum(w * INVARIANTS[n][1](code) for n, w in form.items()) for form in forms]
+        return rows[k]
+
+    def holds(start, i, total):
+        if i == len(terms):
+            return total == [0] * len(expansion.terms) + [Fraction(value)]
+        mult, name = Fraction(terms[i][0]), terms[i][1]
+        return any(
+            holds(k + 1, i + 1, [x + mult * y for x, y in zip(total, row(k))])
+            for k in range(start, len(corpus)) if corpus[k].name == name
+        )
+
+    assert holds(0, 0, [Fraction(0)] * len(forms)), certificate
 
 
 def test_certificate_arithmetic_holds(corpus):
@@ -212,3 +245,120 @@ def test_probes_solved_together_as_apart(corpus):
         apart = [solve_basis_values(expansion, [name], corpus).probes[0] for name in ("v2", "v3")]
         assert list(together) == apart
     assert [p.consistent for p in together] == [False, True]
+
+
+# -- the dense solver that the one-pass solve replaced, kept as an oracle ----------
+
+def oracle_eliminate(rows, unknowns):
+    mat = [list(row) for row in rows]
+    pivot_cols = []
+    rank = 0
+    for col in range(unknowns):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        head = mat[rank][col]
+        mat[rank] = [x / head for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+        pivot_cols.append(col)
+        rank += 1
+    return mat, pivot_cols
+
+
+def oracle_solve(expansion, names, corpus):
+    """Gauss-Jordan over [unknowns | one rhs per probe | an identity block
+    tracking the corpus rows], with row swaps; a probe's certificate is the
+    first row after the swaps with no unknowns and a nonzero rhs."""
+    t = len(expansion.terms)
+    if len(corpus) <= t:
+        raise UnderdeterminedSystem(f"corpus of {len(corpus)} knots cannot pin down {t} basis values")
+    used = set(names).union(*(term.coeff for term in expansion.terms))
+    rows = []
+    for k, record in enumerate(corpus):
+        known = {name: Fraction(INVARIANTS[name][1](record.code)) for name in used}
+        weights = [sum((w * known[n] for n, w in term.coeff.items()), Fraction(0)) for term in expansion.terms]
+        identity = [Fraction(int(j == k)) for j in range(len(corpus))]
+        rows.append(weights + [known[name] for name in names] + identity)
+    mat, pivot_cols = oracle_eliminate(rows, t)
+    solved = []
+    for i, name in enumerate(names):
+        rhs = t + i
+        bad = next((row for row in mat if row[rhs] != 0 and not any(row[:t])), None)
+        if bad is not None:
+            combo = " + ".join(
+                f"({mult})*[{record.name}]"
+                for record, mult in zip(corpus, bad[t + len(names):])
+                if mult != 0
+            )
+            solved.append(SolvedProbe(name, {}, False, f"{combo} forces 0 = {bad[rhs]}"))
+            continue
+        if len(pivot_cols) < t:
+            raise UnderdeterminedSystem(
+                f"probe {name}: corpus determines only {len(pivot_cols)} of {t} basis values"
+            )
+        values = {expansion.terms[col].knot: mat[rank][rhs] for rank, col in enumerate(pivot_cols)}
+        solved.append(SolvedProbe(name, values, True, None))
+    return SolveReport(tuple(solved))
+
+
+def seeded_expansions(rng, basis_names, count):
+    """The bundled degree-3 expansion, then 1- to 3-term expansions with
+    random nonzero forms in v2 and v3; three such terms never have full
+    rank, so a consistent probe on them is underdetermined."""
+    yield bundled_expansion(3)
+    for _ in range(count - 1):
+        terms = []
+        for knot in rng.sample(basis_names, rng.randint(1, 3)):
+            invariants = rng.sample(("v2", "v3"), rng.randint(1, 2))
+            terms.append(ExpansionTerm({n: Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)) for n in invariants}, knot))
+        yield Expansion(3, tuple(terms))
+
+
+def test_one_pass_solve_agrees_with_the_dense_oracle(corpus):
+    rng = random.Random(18)
+    closures = [KnotRecord(name, braid_closure(word)) for name, word in BRAID_WORDS.items()]
+    while len(closures) < 27:
+        strands = rng.choice((2, 3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(4, 8))]
+        if is_knot(word):
+            closures.append(KnotRecord("closure", braid_closure(word)))
+    basis_names = [record.name for record in corpus]
+    seen = Counter()
+    for expansion in seeded_expansions(rng, basis_names, 40):
+        basis = {term.knot for term in expansion.terms}
+        # table knots off the basis and the braid fixtures share names
+        records = [r if r.name in basis else KnotRecord(rng.choice(("dup", "again")), r.code) for r in corpus]
+        records += closures
+        rng.shuffle(records)
+        try:
+            want = oracle_solve(expansion, ["v2", "v3"], records)
+        except UnderdeterminedSystem as exc:
+            with pytest.raises(UnderdeterminedSystem, match=re.escape(str(exc))):
+                solve_basis_values(expansion, ["v2", "v3"], records)
+            seen["underdetermined"] += 1
+            continue
+        got = solve_basis_values(expansion, ["v2", "v3"], records)
+        for mine, theirs in zip(got.probes, want.probes, strict=True):
+            assert (mine.probe, mine.values, mine.consistent) == (theirs.probe, theirs.values, theirs.consistent)
+            seen[mine.consistent] += 1
+            if not mine.consistent:
+                _check_certificate(mine.certificate, expansion, mine.probe, records)
+                _check_certificate(theirs.certificate, expansion, theirs.probe, records)
+    assert seen[True] and seen[False] and seen["underdetermined"], seen
+
+
+def test_certificate_is_the_first_contradicting_row_in_corpus_order(corpus):
+    # on v2 - v3 the trefoil rows A and B have no unknown and read 0 = 1;
+    # C, a figure-eight, is the only pivot.  The dense eliminator swapped
+    # C to the top and then named B.
+    by_name = {r.name: r.code for r in corpus}
+    rows = [KnotRecord("A", by_name["3_1"]), KnotRecord("B", by_name["3_1"]), KnotRecord("C", by_name["4_1"])]
+    expansion = Expansion(3, (ExpansionTerm({"v2": Fraction(1), "v3": Fraction(-1)}, "4_1"),))
+    (probe,) = solve_basis_values(expansion, ["v3"], rows).probes
+    assert probe.certificate == "(1)*[A] forces 0 = 1"
+    _check_certificate(probe.certificate, expansion, "v3", rows)
+    assert oracle_solve(expansion, ["v3"], rows).probes[0].certificate == "(1)*[B] forces 0 = 1"
