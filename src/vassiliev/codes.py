@@ -173,44 +173,26 @@ def _paired(code: Union[GaussCode, SingularCode], ends: dict) -> Union[GaussCode
     return code
 
 
-def _diagnose(code: Union[GaussCode, SingularCode]) -> list[Diagnostic]:
-    # Crossing findings first, then double points, each sorted by label.
-    out: list[Diagnostic] = []
+def _diagnose(code: Union[GaussCode, SingularCode], written: Optional[Mapping] = None) -> list[Diagnostic]:
+    """Findings on the pairing table, crossings first, then double points,
+    each sorted by label: the code's, or where ``written`` maps a (passage
+    type, label) key to the label as written, that one."""
+    found = []
     ps = code.passages
-    for (kind, label), hits in sorted(
-        code.ends.items(), key=lambda e: (e[0][0] is DoublePointPassage, e[0][1])
-    ):
-        if kind is DoublePointPassage:
+    for key, hits in code.ends.items():
+        label = written[key] if written else key[1]
+        if key[0] is DoublePointPassage:
             visits = [ps[i].visit for i in hits]
             if visits != ["a", "b"]:
-                out.append(
-                    Diagnostic(
-                        "LabelRoleMismatch",
-                        label,
-                        f"double point {label} needs visit a then visit b,"
-                        f" got {'/'.join(visits) or 'nothing'}",
-                    )
-                )
-            continue
-        roles = sorted(ps[i].role for i in hits)
-        if roles != [OVER, UNDER]:
-            out.append(
-                Diagnostic(
-                    "LabelRoleMismatch",
-                    label,
-                    f"crossing {label} has passages {'/'.join(roles)},"
-                    " needs exactly one O and one U",
-                )
-            )
+                found.append((True, label, Diagnostic("LabelRoleMismatch", label, f"double point {label} needs"
+                              f" visit a then visit b, got {'/'.join(visits) or 'nothing'}")))
+        elif len(hits) != 2 or {ps[hits[0]].role, ps[hits[1]].role} != {OVER, UNDER}:
+            roles = "/".join(sorted(ps[i].role for i in hits))
+            found.append((False, label, Diagnostic("LabelRoleMismatch", label,
+                          f"crossing {label} has passages {roles}, needs exactly one O and one U")))
         elif ps[hits[0]].sign != ps[hits[1]].sign:
-            out.append(
-                Diagnostic(
-                    "SignMismatch",
-                    label,
-                    f"crossing {label} carries both signs",
-                )
-            )
-    return out
+            found.append((False, label, Diagnostic("SignMismatch", label, f"crossing {label} carries both signs")))
+    return [d for *_, d in sorted(found, key=lambda f: f[:2])]
 
 
 _DIAG_EXC = {
@@ -220,35 +202,32 @@ _DIAG_EXC = {
 
 
 def _parse(text: str, kind: type) -> Union[GaussCode, SingularCode]:
-    """Read tokens into a code of ``kind``, diagnose it on the labels as
-    written, then relabel crossings and double points, each densely
-    "1".."n" in order of first appearance (the two never collide since
-    the token kinds differ)."""
+    """Read tokens into a code of ``kind`` in one pass, relabelling
+    crossings and double points, each densely "1".."n" in order of first
+    appearance (the two never collide since the token kinds differ), then
+    diagnose it on the labels as written."""
     passages: list[AnyPassage] = []
-    for tok in text.split():
+    new: dict[tuple[type, str], str] = {}  # (passage type, label as written) -> label
+    written: dict[tuple[type, str], str] = {}  # and back
+    ends: dict[tuple[type, str], tuple[int, ...]] = {}
+    ranks = {Passage: 0, DoublePointPassage: 0}
+    for i, tok in enumerate(text.split()):
         if m := _TOKEN.match(tok):
-            role, label, sign = m.groups()
-            passages.append(Passage(label, role, 1 if sign == "+" else -1))
+            k, (role, label, sign) = Passage, m.groups()
         elif kind is SingularCode and (m := _SINGULAR_TOKEN.match(tok)):
-            passages.append(DoublePointPassage(*m.groups()))
+            k, (label, visit) = DoublePointPassage, m.groups()
         else:
             raise MalformedToken(f"bad token {tok!r}")
-    raw = kind(tuple(passages))
-    diags = _diagnose(raw)
-    if diags:
+        if (name := new.get((k, label))) is None:
+            ranks[k] += 1
+            name = new[k, label] = str(ranks[k])
+            written[k, name] = label
+        ends[k, name] = ends.get((k, name), ()) + (i,)
+        passages.append(Passage(name, role, 1 if sign == "+" else -1) if k is Passage else DoublePointPassage(name, visit))
+    code = _paired(kind(tuple(passages)), ends)
+    if diags := _diagnose(code, written):
         raise _DIAG_EXC[diags[0].kind](diags[0].message)
-    new = {
-        (k, label): str(rank)
-        for k in (Passage, DoublePointPassage)
-        for rank, label in enumerate(raw._labels(k), start=1)
-    }
-    code = kind(tuple(
-        Passage(new[Passage, p.label], p.role, p.sign) if type(p) is Passage
-        else DoublePointPassage(new[DoublePointPassage, p.label], p.visit)
-        for p in passages
-    ))
-    # the pairing table is the raw code's under the new labels: hand it over
-    return _paired(code, {(k, new[k, label]): hits for (k, label), hits in raw.ends.items()})
+    return code
 
 
 def parse_gauss_code(text: str) -> GaussCode:

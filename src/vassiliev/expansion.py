@@ -222,8 +222,9 @@ def solve_basis_values(
     multipliers by corpus position (two rows may share a name).  A row
     left with no unknowns is a combination of earlier rows; for each
     probe, the first such row with a nonzero right-hand side is the
-    certificate of a contradiction.  A consistent system of rank below
-    the number of terms raises UnderdeterminedSystem.
+    certificate of a contradiction; it names each row it combines by name
+    and 1-based corpus position, as in "[dup@2]".  A consistent system of
+    rank below the number of terms raises UnderdeterminedSystem.
     """
     probes = _probes(expansion, names, registry)
     t = len(expansion.terms)
@@ -253,7 +254,7 @@ def solve_basis_values(
     for i, (name, _) in enumerate(probes):
         if i in contradictions:
             value, mults = contradictions[i]
-            combo = " + ".join(f"({m})*[{corpus[j].name}]" for j, m in sorted(mults.items()) if m)
+            combo = " + ".join(f"({m})*[{corpus[j].name}@{j + 1}]" for j, m in sorted(mults.items()) if m)
             solved.append(SolvedProbe(name, {}, False, f"{combo} forces 0 = {value}"))
             continue
         if len(pivots) < t:

@@ -21,7 +21,6 @@ from typing import Callable, Dict, Mapping
 from .codes import GaussCode
 from .coordinates import delta, epsilon
 from .diagrams import (
-    ArrowDiagram,
     arrow_diagram_from_code,
     chord_subdiagram,
     evaluate_expression,
@@ -44,6 +43,23 @@ def _integral(value: Fraction, what: str) -> int:
     return int(value)
 
 
+# The last code object a route evaluated, with its arrow diagram and its
+# crossing table, each built on first use, so the routes of one report
+# share them; one tuple, read and replaced whole.  Only that same object
+# reuses them: an equal code builds its own.
+_last: tuple = (None, None, None)
+
+
+def _shared(code: GaussCode, part: int, build: Callable):
+    """Part 1 (the arrow diagram, from arrow_diagram_from_code) or 2 (the
+    crossing table, from _table) of ``code``: from ``_last``, or built now."""
+    global _last
+    memo = _last if _last[0] is code else (code, None, None)
+    if memo[part] is None:
+        memo = _last = memo[:part] + (build(code),) + memo[part + 1:]
+    return memo[part]
+
+
 def _table(code: GaussCode) -> tuple[tuple[str, ...], int, int, int, list[int]]:
     """The crossings in first-passage order; as bitmasks over them, delta 1,
     delta 0, sign +1, and per crossing the chords with one end in its span."""
@@ -61,19 +77,19 @@ def v2_lannes(code: GaussCode) -> int:
     """Degree 2 invariant as a coordinate sum over crossing pairs: a pair
     with dx != dy contributes -w2 * ex * ey, any other pair nothing."""
     # As in v3_lannes, a class with a nonzero count is weighed on its first pair.
-    labels, over, under, positive, rows = _table(code)
+    labels, over, under, positive, rows = _shared(code, 2, _table)
+    counts, members = [0, 0], [None, None]  # pairs (x, y) that do not cross, and that do
+    for x in range(len(labels)):
+        if over >> x & 1:
+            good = ~positive if positive >> x & 1 else positive  # y with -ex * ey = 1
+            for crossed, ys in enumerate((under & ~rows[x], under & rows[x])):
+                counts[crossed] += 2 * (ys & good).bit_count() - ys.bit_count()
+                if members[crossed] is None and ys:
+                    members[crossed] = x, (ys & -ys).bit_length() - 1
     total = 0
     for crossed in (1, 0):
-        count, member = 0, None
-        for x in range(len(labels)):
-            if over >> x & 1:
-                ys = under & (rows[x] ^ (crossed - 1))  # row x, or its complement
-                good = ~positive if positive >> x & 1 else positive  # y with -ex * ey = 1
-                count += 2 * (ys & good).bit_count() - ys.bit_count()
-                if member is None and ys:
-                    member = (x, (ys & -ys).bit_length() - 1)
-        if count:
-            total += count * w2(chord_subdiagram(code, [labels[i] for i in member]))
+        if counts[crossed]:
+            total += counts[crossed] * w2(chord_subdiagram(code, [labels[i] for i in members[crossed]]))
     return _integral(Fraction(V2_SIGN * total, 2), "half the pair sum")
 
 
@@ -100,54 +116,48 @@ def v3_lannes(code: GaussCode) -> int:
     # tests/test_invariants.py rejects the two readings over all six orders.
     # The weight depends only on which of xz, xy and yz cross.  Per pair (x, z),
     # with ys between them, four signed counts are summed by whether xz crosses:
-    # a = ys in rows x and z, b = ys in row x, c = ys in row z, d = ys, in groups
-    # of one -ex * ez.  Inclusion-exclusion gives each class's count, and a
+    # a = ys in rows x and z, b = ys in row x, c = ys in row z, d = ys, in units
+    # of -ex * ey * ez.  Inclusion-exclusion gives each class's count, and a
     # nonzero one is weighed once, on its first triple.
-    labels, over, under, positive, rows = _table(code)
-    sums = [[0] * 4, [0] * 4]  # a, b, c, d over pairs (x, z) that do not cross, and that do
+    labels, over, under, positive, rows = _shared(code, 2, _table)
+    a0 = b0 = c0 = d0 = a1 = b1 = c1 = d1 = 0  # over pairs (x, z) that do not cross, and that do
     for x in range(len(labels)):
         dx = over >> x & 1
         later = -(2 << x)
         pool, zs = (under if dx else over) & later, (over if dx else under) & later
         near = pool & (rx := rows[x])
-        same = positive if positive >> x & 1 else ~positive  # ez = ex, so -ex * ez = -1
-        for xz, crossing in ((0, zs & ~rx), (1, zs & rx)):
-            for group, good in ((crossing & ~same, positive), (crossing & same, ~positive)):
-                a = b = c = d = 0
-                while group:
-                    bit = group & -group
-                    group ^= bit
-                    rz = rows[bit.bit_length() - 1]
-                    ys = pool & (bit - 1)
-                    ysx = near & (bit - 1)
-                    m = ysx & rz
-                    a += 2 * (m & good).bit_count() - m.bit_count()
-                    b += 2 * (ysx & good).bit_count() - ysx.bit_count()
-                    m = ys & rz
-                    c += 2 * (m & good).bit_count() - m.bit_count()
-                    d += 2 * (ys & good).bit_count() - ys.bit_count()
-                sums[xz] = [s + t for s, t in zip(sums[xz], (a, b, c, d))]
+        ex = positive >> x & 1
+        while zs:
+            bit = zs & -zs
+            zs ^= bit
+            z = bit.bit_length() - 1
+            good = ~positive if positive >> z & 1 == ex else positive  # y with -ex * ey * ez = 1
+            rz = rows[z]
+            ys = pool & (bit - 1)
+            ysx = near & (bit - 1)
+            m = ysx & rz
+            a = 2 * (m & good).bit_count() - m.bit_count()
+            b = 2 * (ysx & good).bit_count() - ysx.bit_count()
+            m = ys & rz
+            c = 2 * (m & good).bit_count() - m.bit_count()
+            d = 2 * (ys & good).bit_count() - ys.bit_count()
+            if rx & bit:
+                a1 += a
+                b1 += b
+                c1 += c
+                d1 += d
+            else:
+                a0 += a
+                b0 += b
+                c0 += c
+                d0 += d
     total = 0
-    for xz in (1, 0):
-        a, b, c, d = sums[xz]
+    for xz, (a, b, c, d) in ((1, (a1, b1, c1, d1)), (0, (a0, b0, c0, d0))):
         for xy, yz, count in ((1, 1, a), (1, 0, b - a), (0, 1, c - a), (0, 0, d - b - c + a)):
             if count:
                 member = next(_triples(over, under, rows, xz, xy, yz))
                 total += count * w3(chord_subdiagram(code, [labels[i] for i in member]))
     return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
-
-
-# The last code object the pattern routes counted in and its arrow diagram,
-# so the routes of one report share it; one tuple, read and replaced whole.
-# Only that same object reuses the diagram: an equal code builds its own.
-_last: tuple = (None, None)
-
-
-def _diagram(code: GaussCode) -> ArrowDiagram:
-    global _last
-    if _last[0] is not code:
-        _last = code, arrow_diagram_from_code(code)
-    return _last[1]
 
 
 def _counter(file: str, name: str, doc: str, patterns_dir=resources.files("vassiliev") / "patterns") -> Callable[[GaussCode], int]:
@@ -157,7 +167,7 @@ def _counter(file: str, name: str, doc: str, patterns_dir=resources.files("vassi
     expression = load_pattern_file(Path(patterns_dir) / file)
 
     def count(code: GaussCode) -> int:
-        return _integral(evaluate_expression(expression, _diagram(code)), f"the {file} count")
+        return _integral(evaluate_expression(expression, _shared(code, 1, arrow_diagram_from_code)), f"the {file} count")
 
     count.__name__ = count.__qualname__ = name
     count.__doc__, count.pattern_file = doc, file
@@ -244,7 +254,9 @@ def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> Invari
 
     Disagreements are reported, not raised.
     """
-    _diagram(code)  # built before the routes, so no route's time includes it
+    # both built before the routes, so no route's time includes them
+    _shared(code, 1, arrow_diagram_from_code)
+    _shared(code, 2, _table)
     values = {name: registry[name][1](code) for name in REPORT_COLUMNS}
     seen: Dict[str, set] = {}
     for name, value in values.items():

@@ -1,8 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vassiliev import (
     DoublePointPassage,
@@ -25,6 +26,7 @@ from vassiliev import (
     validate,
 )
 from vassiliev import codes
+from vassiliev.codes import Diagnostic
 from vassiliev.errors import (
     CheckFailed,
     IndexOutOfRange,
@@ -147,6 +149,176 @@ def test_validate_reports_instead_of_raising():
     diags = validate(bad)
     assert [d.kind for d in diags] == ["SignMismatch"]
     assert diags[0].label == "1"
+
+
+# The parser as first written, kept as the oracle: it reads the tokens into
+# a code on the labels as written, diagnoses that code with every label
+# sorted, then relabels, building every passage a second time; the pairing
+# table is left for the code to walk.
+ORACLE_TOKEN = re.compile(r"(O|U)([A-Za-z0-9]+)([+-])\Z")
+ORACLE_SINGULAR_TOKEN = re.compile(r"X([A-Za-z0-9]+)([ab])\Z")
+
+
+def oracle_diagnose(code):
+    out = []
+    ps = code.passages
+    for (kind, label), hits in sorted(
+        code.ends.items(), key=lambda e: (e[0][0] is DoublePointPassage, e[0][1])
+    ):
+        if kind is DoublePointPassage:
+            visits = [ps[i].visit for i in hits]
+            if visits != ["a", "b"]:
+                out.append(Diagnostic(
+                    "LabelRoleMismatch", label,
+                    f"double point {label} needs visit a then visit b, got {'/'.join(visits) or 'nothing'}",
+                ))
+            continue
+        roles = sorted(ps[i].role for i in hits)
+        if roles != ["O", "U"]:
+            out.append(Diagnostic(
+                "LabelRoleMismatch", label,
+                f"crossing {label} has passages {'/'.join(roles)}, needs exactly one O and one U",
+            ))
+        elif ps[hits[0]].sign != ps[hits[1]].sign:
+            out.append(Diagnostic("SignMismatch", label, f"crossing {label} carries both signs"))
+    return out
+
+
+def oracle_parse(text, kind):
+    passages = []
+    for tok in text.split():
+        if m := ORACLE_TOKEN.match(tok):
+            role, label, sign = m.groups()
+            passages.append(Passage(label, role, 1 if sign == "+" else -1))
+        elif kind is SingularCode and (m := ORACLE_SINGULAR_TOKEN.match(tok)):
+            passages.append(DoublePointPassage(*m.groups()))
+        else:
+            raise MalformedToken(f"bad token {tok!r}")
+    raw = kind(tuple(passages))
+    diags = oracle_diagnose(raw)
+    if diags:
+        raise {"LabelRoleMismatch": LabelRoleMismatch, "SignMismatch": SignMismatch}[diags[0].kind](diags[0].message)
+    new = {}
+    for k in (Passage, DoublePointPassage):
+        labels = [label for kk, label in raw.ends if kk is k]
+        new.update({(k, label): str(rank) for rank, label in enumerate(labels, start=1)})
+    return kind(tuple(
+        Passage(new[Passage, p.label], p.role, p.sign) if type(p) is Passage
+        else DoublePointPassage(new[DoublePointPassage, p.label], p.visit)
+        for p in passages
+    ))
+
+
+LABELS = ("1", "2", "7", "10", "a", "zz", "Q3")
+CROSSING = st.builds("{}{}{}".format, st.sampled_from("OU"), st.sampled_from(LABELS), st.sampled_from("+-"))
+TOKENS = st.one_of(
+    CROSSING,
+    CROSSING,
+    st.builds("X{}{}".format, st.sampled_from(LABELS), st.sampled_from("ab")),
+    st.sampled_from(("O1", "1+", "Q1+", "O1*", "o1+", "U+", "X1", "X1c", "Xa+", "O1+a", "Oé1+")),
+)
+
+
+@st.composite
+def token_strings(draw):
+    """Token strings: random tokens, or a well-formed code, possibly with
+    double points, under up to three edits that replace, drop or repeat a
+    token or flip its role, sign or visit, so labels are met once, twice or
+    three times, roles, signs and visits clash, and malformed tokens turn
+    up anywhere."""
+    if draw(st.integers(0, 3)) == 0:
+        return " ".join(draw(st.lists(TOKENS, max_size=10)))
+    labels = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=6))
+    singular = draw(st.booleans())
+    points = {label for label in labels if singular and draw(st.booleans())}  # double points
+    signs = {label: draw(st.sampled_from("+-")) for label in labels}
+    roles = {label: draw(st.sampled_from(("OU", "UO"))) for label in labels}
+    tokens, seen = [], set()
+    for label in draw(st.permutations([label for label in labels for _ in "ab"])):
+        visit = 1 if label in seen else 0
+        seen.add(label)
+        tokens.append(f"X{label}{'ab'[visit]}" if label in points else f"{roles[label][visit]}{label}{signs[label]}")
+    for _ in range(draw(st.integers(0, 3))):
+        if not tokens:
+            break
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(("replace", "drop", "repeat", "flip")))
+        if edit == "replace":
+            tokens[i] = draw(TOKENS)
+        elif edit == "drop":
+            del tokens[i]
+        elif edit == "repeat":
+            tokens.insert(draw(st.integers(0, len(tokens))), tokens[i])
+        else:  # the role at the front, or the sign or visit at the back
+            tok, flip = tokens[i], str.maketrans("OU+-ab", "UO-+ba")
+            tokens[i] = tok[0].translate(flip) + tok[1:] if draw(st.booleans()) else tok[:-1] + tok[-1].translate(flip)
+    return " ".join(tokens)
+
+
+def _parsed(parse, text, kind):
+    try:
+        code = parse(text, kind)
+    except VassilievError as exc:
+        return type(exc), str(exc)
+    return type(code), format_code(code), list(code.ends.items())
+
+
+@settings(max_examples=200)
+@given(token_strings())
+def test_one_pass_parse_agrees_with_the_oracle(text):
+    for kind in (GaussCode, SingularCode):
+        assert _parsed(codes._parse, text, kind) == _parsed(oracle_parse, text, kind)
+
+
+@pytest.mark.parametrize("text", [
+    "", TREFOIL, "Ox- Uzz+ Ux- Ozz+", "X9a O2+ X9b U2+", "X1a O1+ X1b U1-", "X1a O1+ X1b U1+",
+    "O1+ O1+", "O1+ U1+ O1+", "O1+", "O1+ U1-", "X1b X1a", "X1a", "X1a X1a X1b", "X5b X5a O7+ U7-",
+    # written labels sort apart from their new names: 10 before 7, a before zz
+    "O7+ U10+ U7- O10-", "Ozz+ Ua+ Uzz- Oa-", "O7+ U7+ O10+ O10+", "X7a X10b X7b X10a",
+    # a malformed token comes first, wherever it stands
+    "O1+ O1+ Q1+", "O1+ U1+ o1+", "X1a X1b Xa+",
+])
+def test_parse_agrees_with_the_oracle_on_chosen_strings(text):
+    for kind in (GaussCode, SingularCode):
+        assert _parsed(codes._parse, text, kind) == _parsed(oracle_parse, text, kind)
+
+
+def test_validate_names_bad_roles_signs_and_visits():
+    cases = [
+        # roles O and X differ, and still are not one O and one U
+        (GaussCode((Passage("1", "O", 1), Passage("1", "X", 1))), [
+            ("LabelRoleMismatch", "crossing 1 has passages O/X, needs exactly one O and one U"),
+            ("LabelRoleMismatch", "bad role 'X'"),
+        ]),
+        (GaussCode((Passage("1", "O", 2), Passage("1", "U", 2))), [
+            ("SignMismatch", "bad sign 2"),
+            ("SignMismatch", "bad sign 2"),
+        ]),
+        (GaussCode((Passage("1", "O", 0), Passage("1", "U", 1))), [
+            ("SignMismatch", "crossing 1 carries both signs"),
+            ("SignMismatch", "bad sign 0"),
+        ]),
+        (SingularCode((DoublePointPassage("1", "a"), DoublePointPassage("1", "c"))), [
+            ("LabelRoleMismatch", "double point 1 needs visit a then visit b, got a/c"),
+            ("LabelRoleMismatch", "bad visit 'c'"),
+        ]),
+    ]
+    for code, want in cases:
+        assert [(d.kind, d.message) for d in validate(code)] == want
+
+
+@given(st.integers(0, 10 ** 6))
+def test_diagnose_agrees_with_the_oracle_on_hand_built_codes(seed):
+    rng = random.Random(seed)
+    passages = list(random_code(rng).passages)
+    passages += [DoublePointPassage(rng.choice(LABELS), rng.choice("abc")) for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 4) if passages else 0):
+        i = rng.randrange(len(passages))
+        label = rng.choice((passages[i].label, *LABELS))
+        passages[i] = Passage(label, rng.choice("OUX"), rng.choice((1, -1, 0, 2)))
+    rng.shuffle(passages)
+    code = SingularCode(tuple(passages))
+    assert codes._diagnose(code) == oracle_diagnose(code)
 
 
 def test_roundtrip_fixed_codes(corpus):

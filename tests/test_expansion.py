@@ -191,37 +191,27 @@ def test_inconsistent_expansion_gets_certificate(corpus):
     assert not residuals.all_zero
 
 
-_CERTIFICATE_TERM = re.compile(r"\((-?\d+(?:/\d+)?)\)\*\[([^\]]*)\]")
+_CERTIFICATE_TERM = re.compile(r"\((-?\d+(?:/\d+)?)\)\*\[([^\]]*)@(\d+)\]")
 
 
 def _check_certificate(certificate, expansion, probe, corpus):
-    """Some corpus rows, in corpus order and named as the certificate
-    names them, sum under its multipliers to 0 on every unknown and to the
-    stated nonzero value on the right-hand side.  Rows may share a name,
-    so each term may stand for any later row of its name."""
+    """The corpus rows the certificate names, each by its name and 1-based
+    position, in corpus order, sum under its multipliers to 0 on every
+    unknown and to the stated nonzero value on the right-hand side."""
     combo, _, value = certificate.rpartition(" forces 0 = ")
     terms = _CERTIFICATE_TERM.findall(combo)
-    assert " + ".join(f"({mult})*[{name}]" for mult, name in terms) == combo
+    assert " + ".join(f"({mult})*[{name}@{k}]" for mult, name, k in terms) == combo
     assert Fraction(value) != 0
+    rows = [int(k) - 1 for _, _, k in terms]
+    assert rows == sorted(set(rows)) and 0 <= rows[0] and rows[-1] < len(corpus)
+    assert [corpus[k].name for k in rows] == [name for _, name, _ in terms]
     forms = [term.coeff for term in expansion.terms] + [{probe: Fraction(1)}]
-    rows = {}
-
-    def row(k):
-        if k not in rows:
-            code = corpus[k].code
-            rows[k] = [sum(w * INVARIANTS[n][1](code) for n, w in form.items()) for form in forms]
-        return rows[k]
-
-    def holds(start, i, total):
-        if i == len(terms):
-            return total == [0] * len(expansion.terms) + [Fraction(value)]
-        mult, name = Fraction(terms[i][0]), terms[i][1]
-        return any(
-            holds(k + 1, i + 1, [x + mult * y for x, y in zip(total, row(k))])
-            for k in range(start, len(corpus)) if corpus[k].name == name
-        )
-
-    assert holds(0, 0, [Fraction(0)] * len(forms)), certificate
+    total = [
+        sum(Fraction(mult) * sum(w * INVARIANTS[n][1](corpus[k].code) for n, w in form.items())
+            for (mult, _, _), k in zip(terms, rows))
+        for form in forms
+    ]
+    assert total == [0] * len(expansion.terms) + [Fraction(value)], certificate
 
 
 def test_certificate_arithmetic_holds(corpus):
@@ -233,7 +223,7 @@ def test_certificate_arithmetic_holds(corpus):
     dup = [KnotRecord(n, by_name[k]) for n, k in (("dup", "4_1"), ("dup", "5_2"), ("3_1", "3_1"))]
     expansion = Expansion(3, (ExpansionTerm({"v2": Fraction(1)}, "3_1"),))
     (probe,) = solve_basis_values(expansion, ["v3"], dup).probes
-    assert probe.certificate == "(2)*[dup] + (1)*[dup] forces 0 = 3"
+    assert probe.certificate == "(2)*[dup@1] + (1)*[dup@2] forces 0 = 3"
     _check_certificate(probe.certificate, expansion, "v3", dup)
 
 
@@ -290,8 +280,8 @@ def oracle_solve(expansion, names, corpus):
         bad = next((row for row in mat if row[rhs] != 0 and not any(row[:t])), None)
         if bad is not None:
             combo = " + ".join(
-                f"({mult})*[{record.name}]"
-                for record, mult in zip(corpus, bad[t + len(names):])
+                f"({mult})*[{record.name}@{k}]"
+                for k, (record, mult) in enumerate(zip(corpus, bad[t + len(names):]), start=1)
                 if mult != 0
             )
             solved.append(SolvedProbe(name, {}, False, f"{combo} forces 0 = {bad[rhs]}"))
@@ -359,6 +349,6 @@ def test_certificate_is_the_first_contradicting_row_in_corpus_order(corpus):
     rows = [KnotRecord("A", by_name["3_1"]), KnotRecord("B", by_name["3_1"]), KnotRecord("C", by_name["4_1"])]
     expansion = Expansion(3, (ExpansionTerm({"v2": Fraction(1), "v3": Fraction(-1)}, "4_1"),))
     (probe,) = solve_basis_values(expansion, ["v3"], rows).probes
-    assert probe.certificate == "(1)*[A] forces 0 = 1"
+    assert probe.certificate == "(1)*[A@1] forces 0 = 1"
     _check_certificate(probe.certificate, expansion, "v3", rows)
-    assert oracle_solve(expansion, ["v3"], rows).probes[0].certificate == "(1)*[B] forces 0 = 1"
+    assert oracle_solve(expansion, ["v3"], rows).probes[0].certificate == "(1)*[B@2] forces 0 = 1"

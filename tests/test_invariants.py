@@ -365,7 +365,7 @@ def test_report_builds_the_shared_diagram_before_any_route(monkeypatch, trefoil)
     events = []
     build = invariants.arrow_diagram_from_code
     monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: events.append("build") or build(code))
-    monkeypatch.setattr(invariants, "_last", (None, None))
+    monkeypatch.setattr(invariants, "_last", (None, None, None))
     registry = {
         name: (degree, lambda code, fn=fn, name=name: events.append(name) or fn(code))
         for name, (degree, fn) in INVARIANTS.items()
@@ -385,7 +385,7 @@ def test_pattern_routes_share_one_arrow_diagram_per_code(monkeypatch, corpus, do
     built = []
     build = invariants.arrow_diagram_from_code
     monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: built.append(code) or build(code))
-    monkeypatch.setattr(invariants, "_last", (None, None))
+    monkeypatch.setattr(invariants, "_last", (None, None, None))
     codes = [record.code for record in corpus]
     last = None
     for registry, scale in ((INVARIANTS, 1), (methods(doubled_v2_dir), 2)):
@@ -404,3 +404,43 @@ def test_pattern_routes_share_one_arrow_diagram_per_code(monkeypatch, corpus, do
     built.clear()
     assert invariant_report(copy, registry).values == values
     assert copy == last and built == [copy]
+
+
+def test_report_builds_one_crossing_table_before_any_route(monkeypatch):
+    events = []
+    for name in ("delta", "epsilon"):
+        coordinate = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda code, label, f=coordinate, name=name: events.append(name) or f(code, label))
+    registry = {
+        name: (degree, lambda code, fn=fn, name=name: events.append(name) or fn(code))
+        for name, (degree, fn) in INVARIANTS.items()
+    }
+    code = _closure(12, 12)
+    invariant_report(code, registry)
+    # one delta and one epsilon per crossing, all before the five routes
+    n = len(code.crossings)
+    assert sorted(events[:2 * n]) == ["delta"] * n + ["epsilon"] * n
+    assert events[2 * n:] == list(REPORT_COLUMNS)
+
+
+def test_an_equal_code_builds_its_own_crossing_table(monkeypatch, trefoil):
+    built = []
+    build = invariants._table
+    monkeypatch.setattr(invariants, "_table", lambda code: built.append(code) or build(code))
+    monkeypatch.setattr(invariants, "_last", (None, None, None))
+    assert (v2_lannes(trefoil), v3_lannes(trefoil), v3_lannes(trefoil)) == (1, 1, 1)
+    copy = parse_gauss_code(format_code(trefoil))
+    assert v3_lannes(copy) == 1
+    assert copy == trefoil and [id(code) for code in built] == [id(trefoil), id(copy)]
+
+
+def test_a_lone_route_builds_only_what_it_reads(monkeypatch, trefoil):
+    built = []
+    for name in ("_table", "arrow_diagram_from_code"):
+        build = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda code, b=build, name=name: built.append(name) or b(code))
+    monkeypatch.setattr(invariants, "_last", (None, None, None))
+    assert v3_theorem(trefoil) == 1 and built == ["arrow_diagram_from_code"]
+    copy = parse_gauss_code(TREFOIL)
+    built.clear()
+    assert v3_lannes(copy) == 1 and built == ["_table"]

@@ -10,17 +10,17 @@ import importlib
 import sys
 from pathlib import Path
 
-from vassiliev import cli
+from vassiliev import bundled_knot_table, cli
 
 from conftest import TREFOIL
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _traced(monkeypatch, capsys, argv: list[str]) -> set[str]:
+def _traced(monkeypatch, capsys, argv: list[str]):
     """Run the CLI untraced, then traced on a fresh parse of the same
     input; check the outputs agree and uninstalling restores every
-    binding; return the layers the traced run reached."""
+    binding; return the tracer, with the traced run's spans."""
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
     modules = {
@@ -50,18 +50,27 @@ def _traced(monkeypatch, capsys, argv: list[str]) -> set[str]:
     assert registry == saved
     assert all(registry[name][1] is fn for name, (_, fn) in saved.items())
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in bound.items())
-    return tracer.reached()
+    return tracer
 
 
 def test_tracer_reaches_every_compute_layer_and_uninstalls(monkeypatch, capsys):
     # the untraced run leaves its code in invariants._last; the traced run
     # parses an equal code anew, which still builds its own arrow diagram
-    reached = _traced(monkeypatch, capsys, ["compute", "--code", TREFOIL])
+    reached = _traced(monkeypatch, capsys, ["compute", "--code", TREFOIL]).reached()
     workloads = importlib.import_module("workloads")
     assert not set(workloads.COMPUTE_LAYERS) - reached
 
 
 def test_tracer_reaches_every_weights_layer_and_uninstalls(monkeypatch, capsys):
-    reached = _traced(monkeypatch, capsys, ["weights", "--degree", "3", "--invariant", "v3"])
+    reached = _traced(monkeypatch, capsys, ["weights", "--degree", "3", "--invariant", "v3"]).reached()
     workloads = importlib.import_module("workloads")
     assert not set(workloads.WEIGHTS_LAYERS) - reached
+
+
+def test_traced_table_run_builds_one_crossing_table_per_knot(monkeypatch, capsys):
+    tracer = _traced(monkeypatch, capsys, ["compute", "--format", "json"])
+    workloads = importlib.import_module("workloads")
+    assert not set(workloads.COMPUTE_LAYERS) - tracer.reached()
+    # delta and epsilon once per crossing of each knot, read by both Lannes sums
+    crossings = sum(len(record.code.crossings) for record in bundled_knot_table())
+    assert tracer.layers["coordinates"].calls == 2 * crossings
