@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     CheckFailed,
@@ -46,8 +46,7 @@ _TOKEN = re.compile(r"(O|U)([A-Za-z0-9]+)([+-])\Z")
 _SINGULAR_TOKEN = re.compile(r"X([A-Za-z0-9]+)([ab])\Z")
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(NamedTuple):
     """One visit to an ordinary crossing: label, O or U role, sign."""
 
     label: str
@@ -58,8 +57,7 @@ class Passage:
         return f"{self.role}{self.label}{'+' if self.sign > 0 else '-'}"
 
 
-@dataclass(frozen=True)
-class DoublePointPassage:
+class DoublePointPassage(NamedTuple):
     """One visit to a double point; visit is "a" (first) or "b" (second)."""
 
     label: str
@@ -72,8 +70,7 @@ class DoublePointPassage:
 AnyPassage = Union[Passage, DoublePointPassage]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One validation finding: a kind tag, the label involved, a message."""
 
     kind: str
@@ -158,8 +155,7 @@ class SingularCode(_Code):
         return len(self.double_points)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(NamedTuple):
     """A named knot with its code and optional expected invariant values."""
 
     name: str

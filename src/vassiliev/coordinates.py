@@ -8,13 +8,12 @@ from the passage positions, which chords interleave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import GaussCode, OVER
 
 
-@dataclass(frozen=True)
-class CrossingCoordinates:
+class CrossingCoordinates(NamedTuple):
     label: str
     delta: int
     epsilon: int

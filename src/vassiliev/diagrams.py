@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .codes import DoublePointPassage, GaussCode, OVER, SingularCode
 from .errors import (
@@ -41,8 +41,7 @@ from .errors import (
 _ENDPOINT = re.compile(r"([A-Za-z0-9]+)([ht])\Z")
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """A directed signed chord: tail at the over passage, head under."""
 
     tail: int
@@ -315,8 +314,7 @@ def count_matches(subject: Union[Pattern, PatternExpression], diagram: ArrowDiag
     return weight + walk(2, inner)
 
 
-@dataclass(frozen=True)
-class PatternTerm:
+class PatternTerm(NamedTuple):
     coeff: Fraction
     bracket: bool
     pattern: Pattern

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .codes import GaussCode, KnotRecord, parse_rational
 from .errors import (
@@ -32,8 +32,7 @@ from .errors import (
 from .invariants import INVARIANTS, Registry
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     coeff: Mapping[str, Fraction]
     knot: str
 
@@ -50,15 +49,13 @@ class Expansion:
                 raise VassilievError(f"basis knot {knot!r} is named by {knots.count(knot)} terms")
 
 
-@dataclass(frozen=True)
-class ResidualRow:
+class ResidualRow(NamedTuple):
     probe: str
     knot: str
     residual: Fraction
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     rows: Tuple[ResidualRow, ...]
 
     @property
@@ -66,16 +63,14 @@ class ExpansionReport:
         return all(row.residual == 0 for row in self.rows)
 
 
-@dataclass(frozen=True)
-class SolvedProbe:
+class SolvedProbe(NamedTuple):
     probe: str
     values: Mapping[str, Fraction]
     consistent: bool
     certificate: Optional[str]
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     probes: Tuple[SolvedProbe, ...]
 
     @property

@@ -10,13 +10,12 @@ correctness check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import accumulate
 from operator import xor
 from pathlib import Path
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, Mapping, NamedTuple
 
 from .codes import GaussCode
 from .coordinates import delta, epsilon
@@ -236,8 +235,7 @@ def methods(patterns_dir=None) -> Registry:
     return {name: (degree, loaded.get(getattr(fn, "pattern_file", None), fn)) for name, (degree, fn) in INVARIANTS.items()}
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """All five method values for one code, and per invariant, by
     canonical name and sorted, whether its methods agree."""
 

@@ -9,11 +9,10 @@ invariant induces through that realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Callable, Dict, Iterator
+from typing import Callable, Dict, Iterator, NamedTuple
 
 from .codes import (
     DoublePointPassage,
@@ -89,8 +88,7 @@ def weight_systems() -> Dict[int, Callable[[ChordDiagram], int]]:
     return {2: w2, 3: w3}
 
 
-@dataclass
-class WeightSystem:
+class WeightSystem(NamedTuple):
     """A total assignment of rationals to the based diagrams of one degree."""
 
     degree: int
@@ -110,8 +108,7 @@ def weight_system_from_function(
     return WeightSystem(degree, table, name)
 
 
-@dataclass(frozen=True)
-class FourTermQuadruple:
+class FourTermQuadruple(NamedTuple):
     """Four diagrams differing only in one moving chord endpoint; a
     weight system must kill the alternating sum."""
 
@@ -153,8 +150,7 @@ def four_term_quadruples(n: int) -> list[FourTermQuadruple]:
     return quads
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     one_term_ok: bool
     four_term_ok: bool
     violations: tuple[str, ...]

@@ -9,6 +9,12 @@ and that of h^3 is -6 v3 (Chmutov-Duzhin-Mostovoy, "Introduction to
 Vassiliev Knot Invariants", arXiv:1103.5628, the chapter on the Jones
 polynomial).  The cost is exponential, so keep inputs to about a dozen
 crossings.
+
+The Conway polynomial comes from the Alexander polynomial of a
+Wirtinger presentation: one row per under-passage, read straight off
+the passages.  Its z^2 coefficient is v2 (same chapter on the Conway
+polynomial).  The cost grows like c^4 in the crossing count c, so keep
+inputs to about 20 crossings.
 """
 
 from __future__ import annotations
@@ -83,3 +89,89 @@ def jones_moments(code: GaussCode, top: int = 3) -> list[Fraction]:
     """The coefficients of h^0 .. h^top in V(e^h): sum a_k k^j / j!."""
     v = jones(code)
     return [Fraction(sum(a * k**j for k, a in v.items()), factorial(j)) for j in range(top + 1)]
+
+
+def _alexander_matrix(code: GaussCode, t: int) -> list[list[int]]:
+    """The Wirtinger matrix at an integer t: arc j runs from the j-th
+    under-passage to the next, and the row of the j-th under-passage
+    puts (1 - t, t, -1) on (over arc, incoming arc, outgoing arc) at a
+    positive crossing, (t - 1, 1, -t) at a negative one."""
+    ps = code.passages
+    unders = [i for i, p in enumerate(ps) if p.role == "U"]
+    c = len(unders)
+    arc_at, arc = [], c - 1  # positions before the first under-passage lie on the last arc
+    for p in ps:
+        arc = (arc + 1) % c if p.role == "U" else arc
+        arc_at.append(arc)
+    over = {p.label: arc_at[i] for i, p in enumerate(ps) if p.role == "O"}
+    rows = []
+    for j, i in enumerate(unders):
+        row = [0] * c
+        entries = (1 - t, t, -1) if ps[i].sign > 0 else (t - 1, 1, -t)
+        for a, e in zip((over[ps[i].label], (j - 1) % c, j), entries):
+            row[a] += e
+        rows.append(row)
+    return rows
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by fraction-free
+    elimination."""
+    m = [row[:] for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def alexander(code: GaussCode) -> list[int]:
+    """The Alexander polynomial's coefficients, lowest power of t first,
+    with no power of t to spare, Delta(1) = 1 and Delta symmetric."""
+    c = sum(p.role == "U" for p in code.passages)
+    points = range(c + 1)  # the minor has degree at most c - 1 in t
+    values = [_bareiss([row[1:] for row in _alexander_matrix(code, t)[1:]]) for t in points]
+    coeffs = Counter()
+    for xi, value in zip(points, values):  # Lagrange interpolation through the values
+        basis, scale = Counter({0: 1}), Fraction(value)
+        for xj in points:
+            if xj != xi:
+                basis, scale = _times(basis, Counter({0: -xj, 1: 1})), scale / (xi - xj)
+        for k, b in basis.items():
+            coeffs[k] += scale * b
+    if any(coeffs[k].denominator != 1 for k in points):
+        raise ValueError(f"Alexander polynomial with fractional coefficients {coeffs}")
+    delta = [int(coeffs[k]) for k in points]
+    while delta and delta[-1] == 0:
+        delta.pop()
+    while delta and delta[0] == 0:
+        delta.pop(0)
+    if abs(sum(delta)) != 1 or delta != delta[::-1]:
+        raise ValueError(f"{delta} is not the Alexander polynomial of a knot")
+    return delta if sum(delta) == 1 else [-x for x in delta]
+
+
+def conway(code: GaussCode) -> list[int]:
+    """The Conway polynomial's coefficients of z^0, z^2, z^4, ...: Delta
+    written in t + 1/t = z^2 + 2, through t^k + t^-k = T_k, where T_0 = 2,
+    T_1 = z^2 + 2 and T_(k+1) = (z^2 + 2) T_k - T_(k-1)."""
+    delta = alexander(code)
+    m = len(delta) // 2
+    s = Counter({0: 2, 1: 1})  # z^2 + 2, as {exponent of z^2: coefficient}
+    out = Counter({0: delta[m]})
+    before, here = Counter({0: 2}), s  # T_0 and T_1
+    for k in range(1, m + 1):
+        for e, x in here.items():
+            out[e] += delta[m + k] * x
+        after = _times(s, here)
+        for e, x in before.items():
+            after[e] -= x
+        before, here = here, after
+    return [out[e] for e in range(max(out) + 1)]

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -203,7 +202,7 @@ def test_calibration_follows_the_bundled_expected_values(capsys, monkeypatch):
     from vassiliev import cli
 
     for expected, want in (({"v2": 1, "v3": 2}, "2"), ({"v2": 1}, "None")):
-        table = [r if r.name != "3_1" else replace(r, expected=expected) for r in vassiliev.bundled_knot_table()]
+        table = [r if r.name != "3_1" else r._replace(expected=expected) for r in vassiliev.bundled_knot_table()]
         monkeypatch.setattr(cli, "bundled_knot_table", lambda: table)
         code, out, _ = run(capsys, "verify", "--suite", "calibration")
         assert (code, out) == (1, f"FAIL calibration: v3_lannes on 3_1 gave 1, want {want}\n")

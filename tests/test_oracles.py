@@ -1,12 +1,12 @@
-"""v2 and v3 against the Jones polynomial, an oracle that shares no sign,
-weight or pattern convention with the package."""
+"""v2 and v3 against the Jones and Conway polynomials, oracles that share
+no sign, weight or pattern convention with the package."""
 
 import random
 
 from vassiliev import mirror, v2, v3
 
 from _braids import BRAID_WORDS, braid_closure, is_knot
-from _oracles import jones, jones_moments
+from _oracles import alexander, conway, jones, jones_moments
 
 
 def seeded_closures(count=20):
@@ -40,3 +40,40 @@ def test_mirror_flips_the_cubic_moment(corpus):
     for code in [r.code for r in corpus] + seeded_closures(count=5):
         h, flipped = jones_moments(code), jones_moments(mirror(code))
         assert flipped[2] == h[2] and flipped[3] == -h[3], code
+
+
+def conway_coefficient(code, j):
+    """The coefficient of z^(2j) in the Conway polynomial."""
+    coeffs = conway(code)
+    return coeffs[j] if j < len(coeffs) else 0
+
+
+def test_alexander_polynomials_of_small_knots(corpus):
+    by_name = {r.name: r.code for r in corpus}
+    assert alexander(by_name["unknot"]) == [1]
+    assert alexander(by_name["3_1"]) == [1, -1, 1]
+    assert alexander(by_name["4_1"]) == [-1, 3, -1]
+    assert alexander(by_name["6_2"]) == [-1, 3, -3, 3, -1]
+
+
+def test_conway_z2_coefficient_is_v2(corpus):
+    codes = [r.code for r in corpus]
+    codes += [braid_closure(word) for word in BRAID_WORDS.values()]
+    codes += seeded_closures()
+    for code in codes:
+        assert conway_coefficient(code, 0) == 1, code
+        assert conway_coefficient(code, 1) == v2(code), code
+
+
+def test_conway_z4_coefficient_on_the_table(corpus):
+    got = {r.name: conway_coefficient(r.code, 2) for r in corpus}
+    assert got == {
+        "unknot": 0, "3_1": 0, "3_1m": 0, "4_1": 0, "5_2": 0, "6_1": 0,
+        "5_1": 1, "6_3": 1, "granny": 1, "square": 1,
+        "6_2": -1,
+    }
+
+
+def test_conway_is_unchanged_under_mirror(corpus):
+    for code in [r.code for r in corpus] + [braid_closure(word) for word in BRAID_WORDS.values()]:
+        assert conway(mirror(code)) == conway(code), code
