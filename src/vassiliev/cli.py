@@ -141,14 +141,16 @@ def _weight_system(args, registry):
         # realization, not on the chord diagram
         if args.degree < degree:
             raise WrongDegree(f"{args.invariant} has degree {degree}; it induces no weight system at degree {args.degree}")
-        return weight_from_invariant(fn, args.degree, args.invariant)
-    if args.degree not in weight_systems():
-        raise VassilievError(f"no bundled weight system of degree {args.degree}; use --invariant")
-    return _bundled_system(args.degree)
+        return weight_from_invariant({args.invariant: fn}, args.degree)[args.invariant]
+    return _reference(args.degree, f"no bundled weight system of degree {args.degree}; use --invariant")
 
 
-def _bundled_system(degree: int):
-    return weight_system_from_function(weight_systems()[degree], degree, f"w{degree}")
+def _reference(degree: int, refusal: str):
+    """The reference weight system of this degree, or refused as usage."""
+    for ws in weight_systems().values():
+        if ws.degree == degree:
+            return ws
+    raise VassilievError(refusal)
 
 
 def cmd_weights(args, registry) -> int:
@@ -218,7 +220,7 @@ def _suite_calibration(args, registry):
 
 
 def _suite_relations(args, registry):
-    for ws in map(_bundled_system, weight_systems()):
+    for ws in weight_systems().values():
         report = check_relations(ws)
         if not (report.one_term_ok and report.four_term_ok):
             return False, f"{ws.name}: {report.violations[0]}"
@@ -231,17 +233,19 @@ def _suite_relations(args, registry):
 
 def _suite_weights(args, registry):
     # each canonical invariant induces its reference weight system at its
-    # own degree and vanishes at every higher one
+    # own degree and vanishes at every higher degree that has a reference;
+    # each degree's diagrams are realized once for all invariants due there
     references = weight_systems()
-    checks = 0
-    for name in CANONICAL:
-        degree, fn = registry[name]
-        if degree not in references:
+    degrees = {name: registry[name][0] for name in CANONICAL}
+    for name, degree in degrees.items():
+        if name not in references:
             return False, f"{name} has no reference weight system at degree {degree}"
-        for n in range(degree, max(references) + 1):
-            derived = weight_from_invariant(fn, n, f"{name}@{n}")
+    checks = 0
+    for n in range(min(degrees.values()), max(ws.degree for ws in references.values()) + 1):
+        due = {name: registry[name][1] for name, degree in degrees.items() if degree <= n}
+        for name, derived in weight_from_invariant(due, n).items():
             for d, got in derived.table.items():
-                want = references[n](d) if n == degree else 0
+                want = references[name].evaluate(d) if degrees[name] == n else 0
                 if got != want:
                     return False, f"{name} weight at degree {n} is {got} on {chord_word(d)}, want {want}"
                 checks += 1
@@ -249,13 +253,10 @@ def _suite_weights(args, registry):
 
 
 def _suite_4t(args, registry):
-    degree = args.degree
-    if degree not in weight_systems():
-        raise VassilievError("the 4t suite needs --degree 2 or 3")
-    report = check_relations(_bundled_system(degree))
+    report = check_relations(_reference(args.degree, "the 4t suite needs --degree 2 or 3"))
     if not report.four_term_ok:
         return False, next(v for v in report.violations if v.startswith("4T:"))
-    return True, f"{len(four_term_quadruples(degree))} quadruples at degree {degree}"
+    return True, f"{len(four_term_quadruples(args.degree))} quadruples at degree {args.degree}"
 
 
 def _suite_expansion(args, registry):

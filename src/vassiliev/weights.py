@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Callable, Dict, Iterator, NamedTuple
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple
 
 from .codes import (
     DoublePointPassage,
@@ -82,12 +82,6 @@ def w3(d: ChordDiagram) -> int:
     return {3: 2, 2: 1}.get(edges, 0)
 
 
-def weight_systems() -> Dict[int, Callable[[ChordDiagram], int]]:
-    """The weight systems defined here, by degree, read from this module's
-    names on each call, so a wrapper bound over w2 or w3 is the one held."""
-    return {2: w2, 3: w3}
-
-
 class WeightSystem(NamedTuple):
     """A total assignment of rationals to the based diagrams of one degree."""
 
@@ -106,6 +100,12 @@ def weight_system_from_function(
 ) -> WeightSystem:
     table = {d: Fraction(fn(d)) for d in enumerate_chord_diagrams(degree)}
     return WeightSystem(degree, table, name)
+
+
+def weight_systems() -> Dict[str, WeightSystem]:
+    """The reference weight system of each canonical invariant, built from
+    this module's names on each call, so a wrapper bound over w2 or w3 is used."""
+    return {"v2": weight_system_from_function(w2, 2, "w2"), "v3": weight_system_from_function(w3, 3, "w3")}
 
 
 class FourTermQuadruple(NamedTuple):
@@ -159,9 +159,10 @@ class RelationReport(NamedTuple):
 def check_relations(w: WeightSystem) -> RelationReport:
     """Exhaustive one-term and four-term check at the system's degree.
 
-    The four-term check is skipped (reported as passing) below degree 2
-    where the figure does not exist.
+    The four-term check is skipped (reported as passing) below degree 2,
+    where the figure does not exist, and refused above its limit up front.
     """
+    quads = four_term_quadruples(w.degree) if w.degree >= 2 else []
     violations = []
     one_ok = True
     for d in enumerate_chord_diagrams(w.degree):
@@ -169,18 +170,17 @@ def check_relations(w: WeightSystem) -> RelationReport:
             one_ok = False
             violations.append(f"1T: {chord_word(d)} -> {w.evaluate(d)}")
     four_ok = True
-    if 2 <= w.degree <= 5:
-        for q in four_term_quadruples(w.degree):
-            total = sum(
-                s * w.evaluate(d) for s, d in zip(q.signs, q.diagrams)
+    for q in quads:
+        total = sum(
+            s * w.evaluate(d) for s, d in zip(q.signs, q.diagrams)
+        )
+        if total != 0:
+            four_ok = False
+            violations.append(
+                "4T: "
+                + " | ".join(chord_word(d) for d in q.diagrams)
+                + f" -> {total}"
             )
-            if total != 0:
-                four_ok = False
-                violations.append(
-                    "4T: "
-                    + " | ".join(chord_word(d) for d in q.diagrams)
-                    + f" -> {total}"
-                )
     return RelationReport(one_ok, four_ok, tuple(violations))
 
 
@@ -313,10 +313,10 @@ def realize_chord_diagram(d: ChordDiagram) -> SingularCode:
 
 
 def weight_from_invariant(
-    v: Callable[[GaussCode], int], n: int, name: str = ""
-) -> WeightSystem:
-    """The weight system the invariant induces at degree n: realize each
-    diagram, resolve its double points, and alternate-sum the invariant.
+    invariants: Mapping[str, Callable[[GaussCode], int]], n: int
+) -> Dict[str, WeightSystem]:
+    """The weight system each invariant induces at degree n: realize each
+    diagram, resolve its double points once, and alternate-sum them all.
 
     Refused above MAX_INDUCED_DEGREE, before any diagram is realized."""
     if n > MAX_INDUCED_DEGREE:
@@ -325,8 +325,9 @@ def weight_from_invariant(
             f"an induced weight system at degree {n} needs {evaluations:,} invariant"
             f" evaluations; the limit is degree {MAX_INDUCED_DEGREE}"
         )
-    table: Dict[ChordDiagram, Fraction] = {}
+    tables: Dict[str, Dict[ChordDiagram, Fraction]] = {name: {} for name in invariants}
     for d in enumerate_chord_diagrams(n):
-        code = realize_chord_diagram(d)
-        table[d] = Fraction(sum(sign * v(resolved) for sign, resolved in resolve_singular(code)))
-    return WeightSystem(n, table, name or f"induced[{getattr(v, '__name__', 'v')}]@{n}")
+        resolutions = resolve_singular(realize_chord_diagram(d))
+        for name, v in invariants.items():
+            tables[name][d] = Fraction(sum(sign * v(resolved) for sign, resolved in resolutions))
+    return {name: WeightSystem(n, table, name) for name, table in tables.items()}

@@ -15,6 +15,15 @@ Wirtinger presentation: one row per under-passage, read straight off
 the passages.  Its z^2 coefficient is v2 (same chapter on the Conway
 polynomial).  The cost grows like c^4 in the crossing count c, so keep
 inputs to about 20 crossings.
+
+Two weight systems come in closed form from the same book, for chord
+diagrams given as pairs of endpoint positions.  The Conway symbol, the
+symbol of c_n, is 1 when the diagram's ribbon surface has one boundary
+component (the chapter on the Conway polynomial).  The deframed sl2
+symbol w' comes from the chapter on Lie algebra weight systems;
+(-1)^n w' is the symbol of the h^n coefficient of the Jones polynomial
+at t = e^h.  On n chords the Conway symbol costs one boundary count,
+w' 4^n of them.
 """
 
 from __future__ import annotations
@@ -175,3 +184,44 @@ def conway(code: GaussCode) -> list[int]:
             after[e] -= x
         before, here = here, after
     return [out[e] for e in range(max(out) + 1)]
+
+
+def _boundaries(chords) -> int:
+    """Boundary components of the ribbon surface of a chord diagram: the
+    orbits of p -> the endpoint after p's partner, in circle order.  A
+    diagram without chords has one."""
+    points = sorted(p for chord in chords for p in chord)
+    partner = {a: b for chord in chords for a, b in (chord, chord[::-1])}
+    after = {p: points[(i + 1) % len(points)] for i, p in enumerate(points)}
+    seen: set[int] = set()
+    orbits = 0
+    for start in points:
+        if start not in seen:
+            orbits += 1
+            p = start
+            while p not in seen:
+                seen.add(p)
+                p = after[partner[p]]
+    return max(orbits, 1)
+
+
+def _subsets(chords):
+    """(subset, the other chords) for every subset of the chords."""
+    for mask in range(1 << len(chords)):
+        picked = [mask >> i & 1 for i in range(len(chords))]
+        yield [c for c, p in zip(chords, picked) if p], [c for c, p in zip(chords, picked) if not p]
+
+
+def conway_symbol(chords) -> int:
+    """1 when the ribbon surface has one boundary component, else 0."""
+    return 1 if _boundaries(chords) == 1 else 0
+
+
+def _sl2(chords) -> Fraction:
+    """W(D) = 1/2 sum over chord subsets s of (-1/2)^|s| 2^b(D minus s)."""
+    return sum(Fraction(-1, 2) ** len(s) * 2 ** _boundaries(rest) for s, rest in _subsets(chords)) / 2
+
+
+def sl2_symbol(chords) -> Fraction:
+    """w'(D) = sum over chord subsets J of (-3/2)^|J| W(D minus J)."""
+    return sum(Fraction(-3, 2) ** len(j) * _sl2(rest) for j, rest in _subsets(chords))

@@ -112,11 +112,11 @@ def test_criterion_04_relations():
 
 def test_criterion_05_derived_weight_systems():
     with criterion(5, "invariant-derived weight systems reproduce w2, w3, and vanish low"):
-        from_v2 = weight_from_invariant(v2, 2, "v2")
+        from_v2 = weight_from_invariant({"v2": v2}, 2)["v2"]
         assert all(from_v2.evaluate(d) == w2(d) for d in enumerate_chord_diagrams(2))
-        from_v3 = weight_from_invariant(v3_theorem, 3, "v3")
+        from_v3 = weight_from_invariant({"v3": v3_theorem}, 3)["v3"]
         assert all(from_v3.evaluate(d) == w3(d) for d in enumerate_chord_diagrams(3))
-        low = weight_from_invariant(v2, 3, "v2@3")
+        low = weight_from_invariant({"v2": v2}, 3)["v2"]
         assert all(low.evaluate(d) == 0 for d in enumerate_chord_diagrams(3))
 
 

@@ -217,6 +217,27 @@ def test_weights_suite_fails_an_invariant_without_reference(capsys, monkeypatch)
     assert (code, out) == (1, "FAIL weights: v4 has no reference weight system at degree 4\n")
 
 
+def test_verify_realizes_each_weights_diagram_once(capsys, monkeypatch):
+    # the weights suite realizes each degree-2 and degree-3 diagram once
+    # for all invariants; the realization suite then walks degrees 0 to 3
+    from vassiliev import cli, weights
+
+    realized = []
+
+    def counted(d, realize=weights.realize_chord_diagram):
+        realized.append(d)
+        return realize(d)
+
+    monkeypatch.setattr(weights, "realize_chord_diagram", counted)
+    monkeypatch.setattr(cli, "realize_chord_diagram", counted)
+    assert run(capsys, "verify", "--suite", "weights") == (0, "PASS weights: 33 diagrams\n", "")
+    assert len(realized) == len(set(realized)) == 3 + 15
+    realized.clear()
+    code, out, _ = run(capsys, "verify", "--perturbations", "0")
+    assert code == 0 and "PASS realization: 20 diagrams through degree 3" in out
+    assert len(realized) == 18 + 20
+
+
 def test_realization_suite_reports_a_broken_trace(capsys, monkeypatch):
     from vassiliev import weights
 

@@ -67,6 +67,13 @@ def test_tracer_reaches_every_weights_layer_and_uninstalls(monkeypatch, capsys):
     assert not set(workloads.WEIGHTS_LAYERS) - reached
 
 
+def test_tracer_reaches_every_layer_on_verify(monkeypatch, capsys):
+    # the bench's verify workload requires every wrapped layer
+    reached = _traced(monkeypatch, capsys, ["verify", "--perturbations", "5"]).reached()
+    spans = importlib.import_module("spans")
+    assert reached == {layer for _, _, layer in spans.WRAPPED}
+
+
 def test_traced_table_run_builds_one_crossing_table_per_knot(monkeypatch, capsys):
     tracer = _traced(monkeypatch, capsys, ["compute", "--format", "json"])
     workloads = importlib.import_module("workloads")

@@ -31,8 +31,10 @@ from vassiliev.codes import (
 )
 from vassiliev import weights
 from vassiliev.errors import CheckFailed, TooLarge, WrongDegree
-from vassiliev.invariants import v2, v3
-from vassiliev.weights import MAX_ENUM_DEGREE, WeightSystem, chord_word
+from vassiliev.invariants import CANONICAL, INVARIANTS, v2, v3
+from vassiliev.weights import MAX_ENUM_DEGREE, WeightSystem, chord_word, weight_systems
+
+from _oracles import conway_symbol, sl2_symbol
 
 
 # Reference interleaving test, written differently from the library's:
@@ -158,11 +160,92 @@ def test_four_term_bounds():
         four_term_quadruples(6)
 
 
+def test_four_term_check_refused_above_its_limit():
+    # one diagram without an isolated chord at 1, every other at 0: it
+    # breaks 4T, which is found at degree 5 and refused, not passed, at 6
+    for n in (5, 6):
+        spike = ChordDiagram(tuple((i, i + n) for i in range(n)))
+        ws = weight_system_from_function(lambda d: d == spike, n)
+        if n == 5:
+            report = check_relations(ws)
+            assert report.one_term_ok and not report.four_term_ok
+            assert report.violations and all(v.startswith("4T: ") for v in report.violations)
+        else:
+            with pytest.raises(TooLarge, match=r"outside 2\.\.5"):
+                check_relations(ws)
+
+
 def test_four_term_alternating_sums_vanish():
     for n, fn in ((2, w2), (3, w3)):
         ws = weight_system_from_function(fn, n, f"w{n}")
         for q in four_term_quadruples(n):
             assert sum(s * ws.evaluate(d) for s, d in zip(q.signs, q.diagrams)) == 0
+
+
+def _rank(rows) -> int:
+    """Rank over the rationals of rows given as {column: value} dicts."""
+    pivots: dict = {}  # leading column -> row scaled to 1 there
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = {k: v / row[lead] for k, v in row.items()}
+                break
+            factor = row[lead]
+            for k, v in pivots[lead].items():
+                row[k] = row.get(k, 0) - factor * v
+                if not row[k]:
+                    del row[k]
+    return len(pivots)
+
+
+def _relation_space_dimension(n: int) -> int:
+    """Dimension of the weight systems at degree n: the solutions of 1T
+    and 4T over the based diagrams."""
+    diagrams = enumerate_chord_diagrams(n)
+    index = {d: i for i, d in enumerate(diagrams)}
+    rows = []
+    for d in diagrams:
+        crossed = {c for pair in crossing_pairs(d) for c in pair}
+        if len(crossed) < n:  # a chord no other chord crosses
+            rows.append({index[d]: 1})
+    for q in four_term_quadruples(n):
+        row: dict = {}
+        for s, d in zip(q.signs, q.diagrams):
+            row[index[d]] = row.get(index[d], 0) + s
+        rows.append(row)
+    return len(diagrams) - _rank(rows)
+
+
+def _v2_squared_symbol(d: ChordDiagram) -> int:
+    """Sum over the three ways to split the 4 chords into two pairs of
+    w2 x w2: the number of crossing pairs whose other two chords cross."""
+    crossed = crossing_pairs(d)
+    splits = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    return sum(first in crossed and second in crossed for first, second in splits)
+
+
+def test_degree_four_has_three_basic_weight_systems():
+    # the paper's claim in finite form: modulo lower degrees, every degree-4
+    # invariant is a combination of v2^2, c4 and the deframed sl2 (Jones) one
+    assert [_relation_space_dimension(n) for n in (2, 3, 4)] == [1, 1, 3]
+    for d in enumerate_chord_diagrams(2):
+        assert sl2_symbol(d.chords) == -3 * w2(d)
+    for d in enumerate_chord_diagrams(3):
+        assert sl2_symbol(d.chords) == 6 * w3(d)
+    diagrams = enumerate_chord_diagrams(4)
+    symbols = [_v2_squared_symbol, lambda d: conway_symbol(d.chords), lambda d: sl2_symbol(d.chords)]
+    for symbol in symbols:
+        report = check_relations(weight_system_from_function(symbol, 4))
+        assert report.one_term_ok and report.four_term_ok, report.violations[:3]
+    assert _rank([{i: symbol(d) for i, d in enumerate(diagrams)} for symbol in symbols]) == 3
+
+
+def test_references_are_keyed_by_the_registry_names():
+    references = weight_systems()
+    assert tuple(references) == CANONICAL
+    assert all(ws.degree == INVARIANTS[name][0] for name, ws in references.items())
 
 
 # -- double point resolution ----------------------------------------------------
@@ -303,25 +386,32 @@ def test_realization_ordinary_crossings_meet_over_first():
 # -- weight systems from invariants ----------------------------------------------
 
 def test_invariant_induces_w2():
-    ws = weight_from_invariant(v2, 2, "v2")
+    ws = weight_from_invariant({"v2": v2}, 2)["v2"]
     for d in enumerate_chord_diagrams(2):
         assert ws.evaluate(d) == w2(d)
 
 
 def test_invariant_induces_w3():
-    ws = weight_from_invariant(v3, 3, "v3")
+    ws = weight_from_invariant({"v3": v3}, 3)["v3"]
     for d in enumerate_chord_diagrams(3):
         assert ws.evaluate(d) == w3(d)
 
 
+def test_one_call_derives_every_named_invariant():
+    derived = weight_from_invariant({"v2": v2, "v3": v3}, 3)
+    assert {name: ws.name for name, ws in derived.items()} == {"v2": "v2", "v3": "v3"}
+    for d in enumerate_chord_diagrams(3):
+        assert (derived["v2"].evaluate(d), derived["v3"].evaluate(d)) == (0, w3(d))
+
+
 def test_low_degree_invariant_vanishes_above_its_degree():
-    ws = weight_from_invariant(v2, 3, "v2@3")
+    ws = weight_from_invariant({"v2": v2}, 3)["v2"]
     for d in enumerate_chord_diagrams(3):
         assert ws.evaluate(d) == 0
 
 
 def test_v3_vanishes_at_degree_four():
-    ws = weight_from_invariant(v3, 4, "v3@4")
+    ws = weight_from_invariant({"v3": v3}, 4)["v3"]
     for d in enumerate_chord_diagrams(4):
         assert ws.evaluate(d) == 0
 
@@ -332,12 +422,12 @@ def test_induced_weight_system_cost_limit(monkeypatch):
 
     monkeypatch.setattr(weights, "realize_chord_diagram", unreachable)
     with pytest.raises(TooLarge, match=r"665,280 .* limit is degree 5"):
-        weight_from_invariant(v2, 6, "v2@6")
+        weight_from_invariant({"v2": v2}, 6)
 
 
 def test_derived_weight_systems_pass_relations():
     for fn, n in ((v2, 2), (v3, 3)):
-        report = check_relations(weight_from_invariant(fn, n, "derived"))
+        report = check_relations(weight_from_invariant({"derived": fn}, n)["derived"])
         assert report.one_term_ok and report.four_term_ok
 
 
