@@ -33,16 +33,7 @@ from .codes import (
 from .coordinates import coordinate_table
 from .errors import NonPlanarCode, TooLarge, VassilievError, WrongDegree
 from .expansion import bundled_expansion, check_expansion, load_expansion, solve_basis_values
-from .invariants import (
-    CANONICAL,
-    INVARIANTS,
-    PATTERN_FILES,
-    REPORT_COLUMNS,
-    canonical,
-    family,
-    invariant_report,
-    methods,
-)
+from .invariants import INVARIANTS, PATTERN_FILES, canonical, family, invariant_report, methods
 from .weights import (
     MAX_ENUM_DEGREE,
     check_relations,
@@ -97,11 +88,11 @@ def _corpus(args) -> list[KnotRecord]:
 def _probe_names(registry, degree: int) -> list[str]:
     """The canonical invariants an expansion of this degree can be
     checked on."""
-    return [name for name in CANONICAL if registry[name][0] <= degree]
+    return [name for name, (d, _) in registry.items() if not family(name) and d <= degree]
 
 
 def cmd_compute(args, registry) -> int:
-    columns = [c for c in REPORT_COLUMNS if args.method in ("all", family(c))]
+    columns = [c for c in registry if family(c) and args.method in ("all", family(c))]
     rows = []
     all_consistent = True
     for record in _corpus(args):
@@ -142,12 +133,12 @@ def _weight_system(args, registry):
         if args.degree < degree:
             raise WrongDegree(f"{args.invariant} has degree {degree}; it induces no weight system at degree {args.degree}")
         return weight_from_invariant({args.invariant: fn}, args.degree)[args.invariant]
-    return _reference(args.degree, f"no bundled weight system of degree {args.degree}; use --invariant")
+    return _reference(weight_systems(), args.degree, f"no bundled weight system of degree {args.degree}; use --invariant")
 
 
-def _reference(degree: int, refusal: str):
-    """The reference weight system of this degree, or refused as usage."""
-    for ws in weight_systems().values():
+def _reference(references, degree: int, refusal: str):
+    """The weight system of this degree in references, or refused as usage."""
+    for ws in references.values():
         if ws.degree == degree:
             return ws
     raise VassilievError(refusal)
@@ -206,7 +197,7 @@ def cmd_expansion(args, registry) -> int:
     return 0 if report.consistent else 1
 
 
-def _suite_calibration(args, registry):
+def _suite_calibration(args, registry, references):
     # each column must give the bundled expected value of its invariant
     knots = {record.name: record for record in bundled_knot_table()}
     checks = 0
@@ -219,8 +210,8 @@ def _suite_calibration(args, registry):
     return True, f"{checks} values"
 
 
-def _suite_relations(args, registry):
-    for ws in weight_systems().values():
+def _suite_relations(args, registry, references):
+    for ws in references.values():
         report = check_relations(ws)
         if not (report.one_term_ok and report.four_term_ok):
             return False, f"{ws.name}: {report.violations[0]}"
@@ -228,15 +219,14 @@ def _suite_relations(args, registry):
     report = check_relations(const)
     if report.one_term_ok:
         return False, "constant system passed the isolated-chord check"
-    return True, "w2, w3 pass; constant-1 control fails as it should"
+    return True, f"{', '.join(ws.name for ws in references.values())} pass; constant-1 control fails as it should"
 
 
-def _suite_weights(args, registry):
+def _suite_weights(args, registry, references):
     # each canonical invariant induces its reference weight system at its
     # own degree and vanishes at every higher degree that has a reference;
     # each degree's diagrams are realized once for all invariants due there
-    references = weight_systems()
-    degrees = {name: registry[name][0] for name in CANONICAL}
+    degrees = {name: degree for name, (degree, _) in registry.items() if not family(name)}
     for name, degree in degrees.items():
         if name not in references:
             return False, f"{name} has no reference weight system at degree {degree}"
@@ -252,14 +242,15 @@ def _suite_weights(args, registry):
     return True, f"{checks} diagrams"
 
 
-def _suite_4t(args, registry):
-    report = check_relations(_reference(args.degree, "the 4t suite needs --degree 2 or 3"))
+def _suite_4t(args, registry, references):
+    degrees = " or ".join(map(str, sorted({ws.degree for ws in references.values()})))
+    report = check_relations(_reference(references, args.degree, f"the 4t suite needs --degree {degrees}"))
     if not report.four_term_ok:
         return False, next(v for v in report.violations if v.startswith("4T:"))
     return True, f"{len(four_term_quadruples(args.degree))} quadruples at degree {args.degree}"
 
 
-def _suite_expansion(args, registry):
+def _suite_expansion(args, registry, references):
     corpus = _corpus(args)
     for degree in (2, 3):
         expansion = bundled_expansion(degree)
@@ -276,7 +267,7 @@ def _suite_expansion(args, registry):
     return True, "n=2 and n=3 residuals zero; solved v2=-1, v3=0 on the second basis knot"
 
 
-def _suite_invariance(args, registry):
+def _suite_invariance(args, registry, references):
     corpus = _corpus(args)
     if not corpus:
         raise VassilievError("the invariance suite needs at least one knot")
@@ -311,7 +302,7 @@ def _suite_invariance(args, registry):
     return True, f"{checks} comparisons, {args.perturbations} perturbations, seed {args.seed}"
 
 
-def _suite_realization(args, registry):
+def _suite_realization(args, registry, references):
     if args.degree > MAX_ENUM_DEGREE:
         raise TooLarge(f"the realization suite enumerates at most degree {MAX_ENUM_DEGREE}, got --degree {args.degree}")
     diagrams = [d for degree in range(args.degree + 1) for d in enumerate_chord_diagrams(degree)]
@@ -335,8 +326,9 @@ def cmd_verify(args, registry) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failed = False
     results = []
+    references = weight_systems()  # one reference table for every suite of this run
     for name in names:
-        ok, detail = _SUITES[name](args, registry)
+        ok, detail = _SUITES[name](args, registry, references)
         results.append({"suite": name, "passed": ok, "detail": detail})
         failed = failed or not ok
     if args.format == "json":
@@ -375,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="evaluate the invariants on knots")
     add_io(p)
     add_patterns(p)
-    p.add_argument("--method", choices=sorted({"all", *map(family, REPORT_COLUMNS)}), default="all")
+    p.add_argument("--method", choices=sorted({"all", *filter(None, map(family, INVARIANTS))}), default="all")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="run verification suites")

@@ -212,8 +212,6 @@ def canonical(name: str) -> str:
     return name.partition("_")[0]
 
 
-REPORT_COLUMNS = tuple(name for name in INVARIANTS if family(name))
-CANONICAL = tuple(name for name in INVARIANTS if not family(name))
 PATTERN_FILES = tuple(sorted({fn.pattern_file for _, fn in INVARIANTS.values() if hasattr(fn, "pattern_file")}))
 
 Registry = Mapping[str, tuple[int, Callable[[GaussCode], int]]]
@@ -236,8 +234,8 @@ def methods(patterns_dir=None) -> Registry:
 
 
 class InvariantReport(NamedTuple):
-    """All five method values for one code, and per invariant, by
-    canonical name and sorted, whether its methods agree."""
+    """The route values for one code, and per invariant, by canonical
+    name and sorted, whether its methods agree."""
 
     values: Dict[str, int]
     agreement: Dict[str, bool]
@@ -248,14 +246,15 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> InvariantReport:
-    """Evaluate every method; methods of the same invariant must agree.
+    """Evaluate the registry's routes (its names with a family), in its
+    order; methods of the same invariant must agree.
 
     Disagreements are reported, not raised.
     """
     # both built before the routes, so no route's time includes them
     _shared(code, 1, arrow_diagram_from_code)
     _shared(code, 2, _table)
-    values = {name: registry[name][1](code) for name in REPORT_COLUMNS}
+    values = {name: fn(code) for name, (_, fn) in registry.items() if family(name)}
     seen: Dict[str, set] = {}
     for name, value in values.items():
         seen.setdefault(canonical(name), set()).add(value)

@@ -316,7 +316,8 @@ def weight_from_invariant(
     invariants: Mapping[str, Callable[[GaussCode], int]], n: int
 ) -> Dict[str, WeightSystem]:
     """The weight system each invariant induces at degree n: realize each
-    diagram, resolve its double points once, and alternate-sum them all.
+    diagram, resolve its double points once, evaluate every invariant on
+    each resolved code before the next, and alternate-sum them all.
 
     Refused above MAX_INDUCED_DEGREE, before any diagram is realized."""
     if n > MAX_INDUCED_DEGREE:
@@ -327,7 +328,10 @@ def weight_from_invariant(
         )
     tables: Dict[str, Dict[ChordDiagram, Fraction]] = {name: {} for name in invariants}
     for d in enumerate_chord_diagrams(n):
-        resolutions = resolve_singular(realize_chord_diagram(d))
-        for name, v in invariants.items():
-            tables[name][d] = Fraction(sum(sign * v(resolved) for sign, resolved in resolutions))
+        totals = dict.fromkeys(invariants, 0)
+        for sign, resolved in resolve_singular(realize_chord_diagram(d)):
+            for name, v in invariants.items():
+                totals[name] += sign * v(resolved)
+        for name, total in totals.items():
+            tables[name][d] = Fraction(total)
     return {name: WeightSystem(n, table, name) for name, table in tables.items()}

@@ -209,10 +209,7 @@ def test_calibration_follows_the_bundled_expected_values(capsys, monkeypatch):
 
 
 def test_weights_suite_fails_an_invariant_without_reference(capsys, monkeypatch):
-    from vassiliev import cli
-
     monkeypatch.setitem(vassiliev.INVARIANTS, "v4", (4, lambda code: 0))
-    monkeypatch.setattr(cli, "CANONICAL", ("v4", *cli.CANONICAL))
     code, out, _ = run(capsys, "verify", "--suite", "weights")
     assert (code, out) == (1, "FAIL weights: v4 has no reference weight system at degree 4\n")
 
@@ -236,6 +233,59 @@ def test_verify_realizes_each_weights_diagram_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--perturbations", "0")
     assert code == 0 and "PASS realization: 20 diagrams through degree 3" in out
     assert len(realized) == 18 + 20
+
+
+def test_verify_shares_each_resolved_code_between_invariants(capsys, monkeypatch):
+    # v2 and v3 are evaluated on one resolved code before the next, so they
+    # share its arrow diagram: 3 * 4 codes at degree 2, 15 * 8 at degree 3
+    from vassiliev import invariants
+
+    built = []
+    build = invariants.arrow_diagram_from_code
+    monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: built.append(code) or build(code))
+    monkeypatch.setattr(invariants, "_last", (None, None, None))
+    assert run(capsys, "verify", "--suite", "weights") == (0, "PASS weights: 33 diagrams\n", "")
+    assert len(built) == 3 * 4 + 15 * 8 == 132
+    built.clear()
+    code, out, _ = run(capsys, "verify", "--perturbations", "0")
+    assert code == 0 and len(built) == 272
+
+
+def test_verify_builds_the_reference_table_once(capsys, monkeypatch):
+    # relations, weights and 4t all read the one table cmd_verify builds
+    from vassiliev import cli, weights
+
+    tables, evaluated = [], []
+    build, w3 = cli.weight_systems, weights.w3
+    monkeypatch.setattr(cli, "weight_systems", lambda: tables.append(1) or build())
+    monkeypatch.setattr(weights, "w3", lambda d: evaluated.append(d) or w3(d))
+    code, out, _ = run(capsys, "verify", "--perturbations", "0")
+    assert code == 0 and len(tables) == 1 and len(evaluated) == 15
+
+
+def test_verify_reads_every_reference_from_the_table(capsys, monkeypatch):
+    # a degree-4 reference added to the table, and nowhere else, is checked
+    # by the relations suite and opens the 4t suite at degree 4
+    from vassiliev import cli
+    from _oracles import conway_symbol
+
+    build = cli.weight_systems
+    conway = vassiliev.weight_system_from_function(lambda d: conway_symbol(d.chords), 4, "conway")
+    monkeypatch.setattr(cli, "weight_systems", lambda: {**build(), "c4": conway})
+    line = "PASS relations: w2, w3, conway pass; constant-1 control fails as it should\n"
+    assert run(capsys, "verify", "--suite", "relations") == (0, line, "")
+    assert run(capsys, "verify", "--suite", "4t", "--degree", "4") == (0, "PASS 4t: 315 quadruples at degree 4\n", "")
+    assert run(capsys, "verify", "--suite", "4t", "--degree", "5") == (2, "", "error: the 4t suite needs --degree 2 or 3 or 4\n")
+
+
+def test_compute_reads_the_columns_of_its_registry(capsys, monkeypatch):
+    from vassiliev import cli
+
+    registry = {name: entry for name, entry in vassiliev.INVARIANTS.items() if name != "v3_pv"}
+    monkeypatch.setattr(cli, "methods", lambda patterns_dir: registry)
+    line = "name=-  v2_lannes=1  v2_pv=1  v3_lannes=1  v3_thm=1  consistent=yes\n"
+    assert run(capsys, "compute", "--code", TREFOIL) == (0, line, "")
+    assert run(capsys, "compute", "--code", TREFOIL, "--method", "pv") == (0, "name=-  v2_pv=1\n", "")
 
 
 def test_realization_suite_reports_a_broken_trace(capsys, monkeypatch):

@@ -5,6 +5,8 @@ code; golden/<name>.out holds the stdout it printed.  The runs cover
 compute on the bundled table in every format and method, coords,
 weights, expansion check and solve at degrees 2 and 3, and verify, so
 a refactor that changes any printed value or line shows up here.
+golden/help*.out hold the --help texts of the program and of each
+subcommand at 80 columns.
 """
 
 import json
@@ -16,10 +18,20 @@ from vassiliev.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+HELP = {"help": [], **{f"help-{sub}": [sub] for sub in ("compute", "verify", "coords", "weights", "expansion")}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, capsys):
     case = CASES[name]
     assert main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_golden_help(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    with pytest.raises(SystemExit) as done:
+        main([*HELP[name], "--help"])
+    assert done.value.code == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

@@ -32,13 +32,14 @@ from vassiliev import (
 )
 from vassiliev import invariants
 from vassiliev.errors import NonIntegerResult, UnknownInvariant
-from vassiliev.invariants import REPORT_COLUMNS
+from vassiliev.invariants import family
 
 from conftest import TREFOIL
 from test_codes import random_code
 from _braids import braid_closure, is_knot
 
 ALL_METHODS = (v2_lannes, v2_polyak_viro, v3_lannes, v3_polyak_viro, v3_theorem)
+ROUTES = tuple(name for name in INVARIANTS if family(name))
 
 
 def test_all_methods_vanish_on_unknot():
@@ -97,7 +98,7 @@ def test_connected_sum_additivity(corpus):
 
 def test_report_shape(trefoil):
     report = invariant_report(trefoil)
-    assert set(report.values) == set(REPORT_COLUMNS)
+    assert set(report.values) == set(ROUTES)
     assert report.agreement == {"v2": True, "v3": True} and report.consistent
 
 
@@ -180,14 +181,20 @@ def test_report_rule_is_agreement_within_invariant(doubled_v2_dir, trefoil):
     assert report.agreement == {"v2": False, "v3": True}
 
 
-def test_same_degree_invariants_are_compared_apart(monkeypatch, trefoil):
+def test_same_degree_invariants_are_compared_apart(trefoil):
     # a second degree-2 invariant that differs from v2 is no disagreement
     registry = {**INVARIANTS, "u2_lannes": (2, lambda code: 7)}
-    monkeypatch.setattr(invariants, "REPORT_COLUMNS", (*REPORT_COLUMNS, "u2_lannes"))
     report = invariant_report(trefoil, registry)
     assert report.values["u2_lannes"] == 7 and report.values["v2_lannes"] == 1
     assert report.agreement == {"u2": True, "v2": True, "v3": True}
     assert list(report.agreement) == ["u2", "v2", "v3"] and report.consistent
+
+
+def test_report_evaluates_exactly_the_given_routes(trefoil):
+    registry = {name: entry for name, entry in INVARIANTS.items() if name != "v3_pv"}
+    report = invariant_report(trefoil, registry)
+    assert list(report.values) == [name for name in ROUTES if name != "v3_pv"]
+    assert report.agreement == {"v2": True, "v3": True}
 
 
 # -- committed calibration choices, locked in place ---------------------------
@@ -371,7 +378,7 @@ def test_report_builds_the_shared_diagram_before_any_route(monkeypatch, trefoil)
         for name, (degree, fn) in INVARIANTS.items()
     }
     assert invariant_report(trefoil, registry).consistent
-    assert events == ["build", *REPORT_COLUMNS]
+    assert events == ["build", *ROUTES]
 
 
 def test_routes_agree_on_a_large_braid_closure():
@@ -420,7 +427,7 @@ def test_report_builds_one_crossing_table_before_any_route(monkeypatch):
     # one delta and one epsilon per crossing, all before the five routes
     n = len(code.crossings)
     assert sorted(events[:2 * n]) == ["delta"] * n + ["epsilon"] * n
-    assert events[2 * n:] == list(REPORT_COLUMNS)
+    assert events[2 * n:] == list(ROUTES)
 
 
 def test_an_equal_code_builds_its_own_crossing_table(monkeypatch, trefoil):
