@@ -136,6 +136,13 @@ def _weight_system(args, registry):
     return _reference(weight_systems(), args.degree, f"no bundled weight system of degree {args.degree}; use --invariant")
 
 
+def _relations(ws, reports: dict):
+    """check_relations of a reference, made once per verify run; reports keeps them by name."""
+    if ws.name not in reports:
+        reports[ws.name] = check_relations(ws)
+    return reports[ws.name]
+
+
 def _reference(references, degree: int, refusal: str):
     """The weight system of this degree in references, or refused as usage."""
     for ws in references.values():
@@ -197,7 +204,7 @@ def cmd_expansion(args, registry) -> int:
     return 0 if report.consistent else 1
 
 
-def _suite_calibration(args, registry, references):
+def _suite_calibration(args, registry, references, reports):
     # each column must give the bundled expected value of its invariant
     knots = {record.name: record for record in bundled_knot_table()}
     checks = 0
@@ -210,9 +217,9 @@ def _suite_calibration(args, registry, references):
     return True, f"{checks} values"
 
 
-def _suite_relations(args, registry, references):
+def _suite_relations(args, registry, references, reports):
     for ws in references.values():
-        report = check_relations(ws)
+        report = _relations(ws, reports)
         if not (report.one_term_ok and report.four_term_ok):
             return False, f"{ws.name}: {report.violations[0]}"
     const = weight_system_from_function(lambda d: 1, 2, "const1")
@@ -222,7 +229,7 @@ def _suite_relations(args, registry, references):
     return True, f"{', '.join(ws.name for ws in references.values())} pass; constant-1 control fails as it should"
 
 
-def _suite_weights(args, registry, references):
+def _suite_weights(args, registry, references, reports):
     # each canonical invariant induces its reference weight system at its
     # own degree and vanishes at every higher degree that has a reference;
     # each degree's diagrams are realized once for all invariants due there
@@ -242,15 +249,15 @@ def _suite_weights(args, registry, references):
     return True, f"{checks} diagrams"
 
 
-def _suite_4t(args, registry, references):
+def _suite_4t(args, registry, references, reports):
     degrees = " or ".join(map(str, sorted({ws.degree for ws in references.values()})))
-    report = check_relations(_reference(references, args.degree, f"the 4t suite needs --degree {degrees}"))
+    report = _relations(_reference(references, args.degree, f"the 4t suite needs --degree {degrees}"), reports)
     if not report.four_term_ok:
         return False, next(v for v in report.violations if v.startswith("4T:"))
     return True, f"{len(four_term_quadruples(args.degree))} quadruples at degree {args.degree}"
 
 
-def _suite_expansion(args, registry, references):
+def _suite_expansion(args, registry, references, reports):
     corpus = _corpus(args)
     for degree in (2, 3):
         expansion = bundled_expansion(degree)
@@ -267,7 +274,7 @@ def _suite_expansion(args, registry, references):
     return True, "n=2 and n=3 residuals zero; solved v2=-1, v3=0 on the second basis knot"
 
 
-def _suite_invariance(args, registry, references):
+def _suite_invariance(args, registry, references, reports):
     corpus = _corpus(args)
     if not corpus:
         raise VassilievError("the invariance suite needs at least one knot")
@@ -302,7 +309,7 @@ def _suite_invariance(args, registry, references):
     return True, f"{checks} comparisons, {args.perturbations} perturbations, seed {args.seed}"
 
 
-def _suite_realization(args, registry, references):
+def _suite_realization(args, registry, references, reports):
     if args.degree > MAX_ENUM_DEGREE:
         raise TooLarge(f"the realization suite enumerates at most degree {MAX_ENUM_DEGREE}, got --degree {args.degree}")
     diagrams = [d for degree in range(args.degree + 1) for d in enumerate_chord_diagrams(degree)]
@@ -327,8 +334,9 @@ def cmd_verify(args, registry) -> int:
     failed = False
     results = []
     references = weight_systems()  # one reference table for every suite of this run
+    reports: dict = {}  # and each reference's relation check, made once
     for name in names:
-        ok, detail = _SUITES[name](args, registry, references)
+        ok, detail = _SUITES[name](args, registry, references, reports)
         results.append({"suite": name, "passed": ok, "detail": detail})
         failed = failed or not ok
     if args.format == "json":

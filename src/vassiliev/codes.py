@@ -105,8 +105,13 @@ class _Code:
         walked once per code; the planarity test and the R2 moves read it."""
         return _faces(self)
 
+    @cached_property
+    def r2_insertions(self) -> list[tuple[int, int, str]]:
+        """``list_r2_insertions`` of this code, once: perturbations draw from it, ``apply_r2`` checks in it."""
+        return list_r2_insertions(self)
+
     def _labels(self, kind: type) -> tuple[str, ...]:
-        return tuple(label for k, label in self.ends if k is kind)
+        return tuple([label for k, label in self.ends if k is kind])
 
     def pairs(self) -> Iterator[tuple[type, int, int]]:
         """(passage type, first, second) per label, in order of first
@@ -265,10 +270,10 @@ def validate(code: Union[GaussCode, SingularCode]) -> tuple[Diagnostic, ...]:
 
 def mirror(code: GaussCode) -> GaussCode:
     """Mirror image: swap over and under at every crossing, negate signs."""
-    swapped = tuple(
+    swapped = tuple([
         Passage(p.label, UNDER if p.role == OVER else OVER, -p.sign)
         for p in code.passages
-    )
+    ])
     return GaussCode(swapped)
 
 
@@ -432,7 +437,7 @@ def apply_r2(code: GaussCode, position_a: int, position_b: int, orientation_case
     degenerate = position_a == position_b or (position_a, position_b) == (0, n)
     if not degenerate and realizable_input:
         listed = (*sorted((position_a or n, position_b)), orientation_case)
-        if listed not in list_r2_insertions(code):
+        if listed not in code.r2_insertions:
             raise UnsupportedOrientationCase(
                 f"segments before positions {position_a} and {position_b} do not"
                 f" border a common face with {orientation_case} orientation"
@@ -482,7 +487,7 @@ def random_perturbations(code: GaussCode, count: int, rng) -> list[GaussCode]:
     for _ in range(count):
         current = code
         for _ in range(rng.randint(1, 3)):
-            if rng.random() < 0.5 and (choices := list_r2_insertions(current)):
+            if rng.random() < 0.5 and (choices := current.r2_insertions):
                 pa, pb, case = rng.choice(choices)
                 current = apply_r2(current, pa, pb, case)
             else:

@@ -33,7 +33,7 @@ def epsilon(code: GaussCode, label: str) -> int:
 
 def coordinate_table(code: GaussCode) -> tuple[CrossingCoordinates, ...]:
     """(label, delta, epsilon) for every crossing, in first-visit order."""
-    return tuple(
+    return tuple([
         CrossingCoordinates(l, delta(code, l), epsilon(code, l))
         for l in code.crossings
-    )
+    ])

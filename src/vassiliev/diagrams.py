@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .codes import DoublePointPassage, GaussCode, OVER, SingularCode
 from .errors import (
@@ -122,12 +122,17 @@ class Pattern:
         """The pattern as a one-leaf trie of weight 1, for the matcher."""
         return _trie([(self, 1)])
 
+    @cached_property
+    def kernel(self):
+        """The trie's compiled walk, for the matcher."""
+        return _kernel(self.trie)
+
     def rotate(self, k: int) -> "Pattern":
         """Move the basepoint forward past k endpoints."""
         n = 2 * len(self.arrows)
         if n == 0:
             return self
-        return Pattern(tuple(((t - k) % n, (h - k) % n) for t, h in self.arrows))
+        return Pattern(tuple([((t - k) % n, (h - k) % n) for t, h in self.arrows]))
 
     def distinct_rotations(self) -> tuple["Pattern", ...]:
         """One representative per distinct based rotation of this pattern."""
@@ -176,13 +181,13 @@ def chord_diagram(source: Union[GaussCode, SingularCode, ArrowDiagram]) -> Chord
     """Forget arrow directions and signs."""
     if not isinstance(source, ArrowDiagram):
         source = arrow_diagram_from_code(source)
-    return ChordDiagram(tuple((a.tail, a.head) for a in source.arrows))
+    return ChordDiagram(tuple([(a.tail, a.head) for a in source.arrows]))
 
 
 def _packed(spans: Sequence[tuple[int, int]]) -> ChordDiagram:
     """Chord diagram of position pairs, renumbered 0..2k-1 in order."""
     rank = {p: i for i, p in enumerate(sorted(p for s in spans for p in s))}
-    return ChordDiagram(tuple((rank[a], rank[b]) for a, b in spans))
+    return ChordDiagram(tuple([(rank[a], rank[b]) for a, b in spans]))
 
 
 def double_point_diagram(code: SingularCode) -> ChordDiagram:
@@ -268,6 +273,44 @@ def _trie(weighted: Iterable[tuple[Pattern, int]]) -> tuple[int, tuple]:
     return root[0], frozen(root[1], 0)[1]
 
 
+def _kernel(trie: tuple) -> Callable[..., int]:
+    """The trie's walk (see ``count_matches``) written as one function and
+    compiled: a ``while`` loop per node, nested as the trie nests, with the
+    k-th placed arrow's ends in ``tk`` and ``hk``; bounds at the start and
+    end folded to 0 and the full mask; the forward mask only where a tail
+    and its head share a gap, since distinct gaps fix their order; each
+    node's weight and its leaves' weighted signed popcounts as one sum.
+    The source holds only the trie's integers and booleans."""
+    lines = ["def kernel(tails, heads, forward, positive, T, H, S):", " full = tails[-1]", f" s0 = {int(trie[0])}"]
+    popcount = "(2 * ((m := {}) & positive).bit_count() - m.bit_count())"
+
+    def ends(masks: str, lo: int, hi: int) -> str:
+        upper = "full" if hi == 1 else f"{masks}[{'th'[hi % 2]}{hi // 2}]"
+        return upper if lo == 0 else f"({upper} ^ {masks}[{'th'[lo % 2]}{lo // 2} + 1])"
+
+    def fits(t_lo: int, t_hi: int, h_lo: int, h_hi: int, ahead: bool) -> str:
+        way = "" if (t_lo, t_hi) != (h_lo, h_hi) else " & forward" if ahead else " & ~forward"
+        return f"{ends('tails', t_lo, t_hi)} & {ends('heads', h_lo, h_hi)}{way}"
+
+    def emit(nodes: tuple, k: int) -> None:
+        pad = " " * k
+        for *step, weight, leaves, below in nodes:
+            pops = [("" if w == 1 else f"{int(w)} * ") + popcount.format(fits(*s)) for *s, w in leaves if w]
+            here = " + ".join([str(int(weight))] * bool(weight) + pops) or "0"
+            lines.extend((f"{pad}f{k} = {fits(*step)}", f"{pad}while f{k}:", f"{pad} d{k} = f{k}.bit_length() - 1",
+                          f"{pad} f{k} ^= 1 << d{k}", f"{pad} t{k} = T[d{k}]", f"{pad} h{k} = H[d{k}]"))
+            if below:
+                lines.append(f"{pad} s{k} = {here}")
+                emit(below, k + 1)
+                here = f"s{k}"
+            lines.append(f"{pad} s{k - 1} += S[d{k}] * ({here})")
+
+    emit(trie[1], 1)
+    namespace: dict = {}
+    exec("\n".join(lines + [" return s0"]), namespace)
+    return namespace.pop("kernel")  # so the function and its globals form no cycle
+
+
 def count_matches(subject: Union[Pattern, PatternExpression], diagram: ArrowDiagram) -> int:
     """Signed number of copies of the based pattern inside the diagram.
 
@@ -277,8 +320,8 @@ def count_matches(subject: Union[Pattern, PatternExpression], diagram: ArrowDiag
     For an expression the result is the sum over its based patterns of
     coefficient times count, times the expression's ``denominator``.
 
-    The walk follows the subject's ``trie``.  Each node places one arrow
-    from one mask: the arrows pointing its way with tail, and head,
+    The subject's ``kernel`` walks its ``trie``.  Each node places one
+    arrow from one mask: the arrows pointing its way with tail, and head,
     strictly inside the gaps its step names by slot.  Strict gaps reuse
     no arrow and keep the word's order, so the walk visits only partial
     copies, and patterns sharing their first arrows share that part of
@@ -286,32 +329,10 @@ def count_matches(subject: Union[Pattern, PatternExpression], diagram: ArrowDiag
     leaf's mask is built inline and its signed popcount added, times its
     weight.
     """
-    weight, inner = subject.trie
     tails, heads, forward, positive = diagram.masks
     arrows = diagram.arrows
-    ways = (~forward, forward)
-    placed = [-1, 2 * len(arrows)] + [0] * (2 * len(arrows))  # per slot; at most n arrows are placed
-
-    def walk(slot: int, inner: tuple) -> int:
-        total = 0
-        for t_lo, t_hi, h_lo, h_hi, ahead, weight, leaves, below in inner:
-            fits = (tails[placed[t_hi]] ^ tails[placed[t_lo] + 1]) & (heads[placed[h_hi]] ^ heads[placed[h_lo] + 1])
-            fits &= ways[ahead]
-            while fits:
-                bit = fits & -fits
-                fits ^= bit
-                arrow = arrows[bit.bit_length() - 1]
-                placed[slot], placed[slot + 1] = arrow.tail, arrow.head
-                here = weight
-                for lt_lo, lt_hi, lh_lo, lh_hi, way, w in leaves:
-                    ends = (tails[placed[lt_hi]] ^ tails[placed[lt_lo] + 1]) & (heads[placed[lh_hi]] ^ heads[placed[lh_lo] + 1]) & ways[way]
-                    here += w * (2 * (ends & positive).bit_count() - ends.bit_count())
-                if below:
-                    here += walk(slot + 2, below)
-                total += arrow.sign * here
-        return total
-
-    return weight + walk(2, inner)
+    tails_at, heads_at, signs = [a.tail for a in arrows], [a.head for a in arrows], [a.sign for a in arrows]
+    return subject.kernel(tails, heads, forward, positive, tails_at, heads_at, signs)
 
 
 class PatternTerm(NamedTuple):
@@ -345,6 +366,11 @@ class PatternExpression:
             for t in self.terms
             for p in (t.pattern.distinct_rotations() if t.bracket else (t.pattern,))
         )
+
+    @cached_property
+    def kernel(self):
+        """The trie's compiled walk, for the matcher."""
+        return _kernel(self.trie)
 
 
 def evaluate_expression(expr: PatternExpression, target: ArrowDiagram) -> Fraction:

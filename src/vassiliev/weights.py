@@ -131,21 +131,17 @@ def four_term_quadruples(n: int) -> list[FourTermQuadruple]:
     quads: list[FourTermQuadruple] = []
 
     def insert(chords, fixed_end, slot):
-        shifted = tuple(
-            (a + (a >= slot), b + (b >= slot)) for a, b in chords
-        )
+        shifted = tuple([(a + (a >= slot), b + (b >= slot)) for a, b in chords])
         moving = (fixed_end + (fixed_end >= slot), slot)
         return ChordDiagram(shifted + (moving,))
 
     for b1, b2 in combinations(range(m), 2):
-        rest = tuple(p for p in range(m) if p not in (b1, b2))
+        rest = tuple([p for p in range(m) if p not in (b1, b2)])
         for a2 in rest:
-            background = tuple(p for p in rest if p != a2)
+            background = tuple([p for p in rest if p != a2])
             for bg in _matchings(background):
                 base = bg + ((b1, b2),)
-                four = tuple(
-                    insert(base, a2, slot) for slot in (b1, b1 + 1, b2, b2 + 1)
-                )
+                four = tuple([insert(base, a2, slot) for slot in (b1, b1 + 1, b2, b2 + 1)])
                 quads.append(FourTermQuadruple(four))
     return quads
 

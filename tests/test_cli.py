@@ -263,6 +263,21 @@ def test_verify_builds_the_reference_table_once(capsys, monkeypatch):
     assert code == 0 and len(tables) == 1 and len(evaluated) == 15
 
 
+def test_verify_checks_each_reference_once(capsys, monkeypatch):
+    # the 4t suite reuses the relations suite's check of its reference,
+    # and alone still makes it
+    from vassiliev import cli
+
+    checked = []
+    check = cli.check_relations
+    monkeypatch.setattr(cli, "check_relations", lambda ws: checked.append(ws.name) or check(ws))
+    code, out, _ = run(capsys, "verify", "--perturbations", "0")
+    assert code == 0 and checked == ["w2", "w3", "const1"]
+    checked.clear()
+    assert run(capsys, "verify", "--suite", "4t") == (0, "PASS 4t: 30 quadruples at degree 3\n", "")
+    assert checked == ["w3"]
+
+
 def test_verify_reads_every_reference_from_the_table(capsys, monkeypatch):
     # a degree-4 reference added to the table, and nowhere else, is checked
     # by the relations suite and opens the 4t suite at degree 4

@@ -483,6 +483,25 @@ def test_random_perturbations_walk_faces_once_per_code(monkeypatch):
     assert max(count for _, count in walks.values()) == 1
 
 
+def test_random_perturbations_list_r2_moves_once_per_code(monkeypatch):
+    # the same draw: the bundled code each perturbation restarts from, and
+    # every code a chain passes through, is listed at most once
+    listings = {}  # id -> [code, listings]; holding the code keeps its id unique
+    listing = codes.list_r2_insertions
+
+    def counted(code):
+        listings.setdefault(id(code), [code, 0])[1] += 1
+        return listing(code)
+
+    monkeypatch.setattr(codes, "list_r2_insertions", counted)
+    table = codes.bundled_knot_table()
+    rng = random.Random(3)
+    for i in range(1000):
+        random_perturbations(table[i % len(table)].code, 1, rng)
+    assert listings
+    assert max(count for _, count in listings.values()) == 1
+
+
 def test_r2_from_position_zero_matches_listing(corpus, trefoil):
     # position 0 and position n enter the same word edge
     accepted = rejected = 0

@@ -5,7 +5,7 @@ from collections import Counter
 from operator import or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vassiliev import (
     Arrow,
@@ -62,8 +62,8 @@ def oracle_count(pattern: Pattern, diagram: ArrowDiagram) -> int:
     return total
 
 
-def random_diagram(rng, max_arrows=8) -> ArrowDiagram:
-    n = rng.randint(0, max_arrows)
+def random_diagram(rng, max_arrows=8, min_arrows=0) -> ArrowDiagram:
+    n = rng.randint(min_arrows, max_arrows)
     slots = list(range(2 * n))
     rng.shuffle(slots)
     arrows = []
@@ -75,8 +75,8 @@ def random_diagram(rng, max_arrows=8) -> ArrowDiagram:
     return ArrowDiagram(tuple(arrows))
 
 
-def random_pattern(rng, max_arrows=4) -> Pattern:
-    n = rng.randint(1, max_arrows)
+def random_pattern(rng, max_arrows=4, min_arrows=1) -> Pattern:
+    n = rng.randint(min_arrows, max_arrows)
     slots = list(range(2 * n))
     rng.shuffle(slots)
     arrows = []
@@ -332,9 +332,9 @@ def test_bracket_sums_over_rotations(trefoil):
 SMALL_PATTERNS = [p for k in range(5) for p in based_patterns(k)]
 
 
-def first_two(pattern: Pattern) -> Pattern:
-    """The pattern's first two arrows in first-endpoint order, packed."""
-    arrows = sorted(pattern.arrows, key=min)[:2]
+def leading(pattern: Pattern, k: int) -> Pattern:
+    """The pattern's first k arrows in first-endpoint order, packed."""
+    arrows = sorted(pattern.arrows, key=min)[:k]
     rank = {p: i for i, p in enumerate(sorted(p for a in arrows for p in a))}
     return Pattern(tuple((rank[t], rank[h]) for t, h in arrows))
 
@@ -345,7 +345,7 @@ def first_two(pattern: Pattern) -> Pattern:
 PREFIX_GROUPS: dict = {}
 for _p in SMALL_PATTERNS:
     if _p.degree >= 3:
-        PREFIX_GROUPS.setdefault(first_two(_p), []).append(_p)
+        PREFIX_GROUPS.setdefault(leading(_p, 2), []).append(_p)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -369,6 +369,40 @@ def test_expression_walk_agrees_with_oracle_property(seed):
     )
     assert evaluate_expression(expr, diagram) == expected
     assert count_matches(expr, diagram) == expected * expr.denominator
+
+
+def cut(arrows) -> Pattern:
+    """The pattern some of a diagram's arrows form, positions packed."""
+    rank = {p: i for i, p in enumerate(sorted(p for a in arrows for p in (a.tail, a.head)))}
+    return Pattern(tuple((rank[a.tail], rank[a.head]) for a in arrows))
+
+
+@settings(max_examples=30)  # each example runs the oracle's 720 permutations per pattern
+@given(st.integers(0, 10 ** 6))
+def test_kernel_agrees_with_oracle_on_deep_patterns_property(seed):
+    # 5- and 6-arrow patterns nest the kernel's loops deepest.  Patterns cut
+    # from the diagram match at least once, and a 6-arrow pattern's first
+    # five arrows end a pattern on a node that has children.
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    diagram = random_diagram(rng, max_arrows=6, min_arrows=5)
+    six = cut(rng.sample(diagram.arrows, 6)) if diagram.degree == 6 else random_pattern(rng, 6, 6)
+    chosen = [six, leading(six, 5), cut(rng.sample(diagram.arrows, 5)), random_pattern(rng, 6, 5)]
+    oracle: dict = {}
+
+    def count(p: Pattern) -> int:
+        return oracle.setdefault(p.word(), oracle_count(p, diagram))
+
+    for p in chosen:
+        assert count_matches(p, diagram) == count(p)
+    coeffs = [Fraction(c) for c in ("1", "-1", "2", "1/2", "-1/3")]
+    terms = [PatternTerm(rng.choice(coeffs), rng.random() < 0.25, p) for p in chosen]
+    expr = PatternExpression(tuple(terms))
+    expected = sum(
+        t.coeff * sum(count(p) for p in (t.pattern.distinct_rotations() if t.bracket else [t.pattern])) for t in terms
+    )
+    assert evaluate_expression(expr, diagram) == expected
 
 
 def trie_widths(expression: PatternExpression) -> tuple[int, ...]:

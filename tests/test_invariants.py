@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -155,6 +158,39 @@ def test_patterns_dir_rebinds_every_pattern_evaluator(doubled_v2_dir, monkeypatc
             assert m[name][1] is fn
     assert m["v2"][1] is m["v2_pv"][1] and m["v3"][1] is m["v3_thm"][1]
     assert len(pattern_evaluators(m)) == len(BUNDLED_PATTERNS)
+
+
+def test_each_pattern_file_compiles_one_kernel():
+    # in a fresh interpreter, repeated compute calls on the bundled table
+    # compile each bundled file's kernel once
+    script = """
+import contextlib, io
+from vassiliev import cli, diagrams
+built = []
+build = diagrams._kernel
+diagrams._kernel = lambda trie: built.append(trie) or build(trie)
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["compute"])
+print(len(built))
+"""
+    src = Path(invariants.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{len(BUNDLED_PATTERNS)}\n", "")
+
+
+def test_patterns_dir_compiles_one_kernel_per_loaded_copy(doubled_v2_dir, monkeypatch):
+    from vassiliev import diagrams
+
+    built = []
+    build = diagrams._kernel
+    monkeypatch.setattr(diagrams, "_kernel", lambda trie: built.append(trie) or build(trie))
+    code = parse_gauss_code(TREFOIL)
+    for m in (methods(doubled_v2_dir), methods(doubled_v2_dir)):
+        for _ in range(2):
+            assert [fn(code) for fn in pattern_evaluators(m)] == [2, 1, 1]
+    assert len(built) == 2 * len(BUNDLED_PATTERNS)
 
 
 def test_public_pattern_evaluators_keep_name_and_doc():

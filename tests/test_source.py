@@ -49,3 +49,34 @@ def test_dataclasses_are_kept_for_classes_that_validate_or_cache():
     dataclasses = [n for n in classes.values() if "dataclass" in map(_decorator_name, n.decorator_list)]
     assert dataclasses
     assert [n.name for n in dataclasses if not needs_dataclass(n)] == []
+
+
+def _calls(name: str):
+    """(file, innermost enclosing function, node) of every call of the bare
+    name in the package."""
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                yield path.name, inside[-1] if inside else "", node
+
+
+def test_generated_code_runs_only_through_the_pattern_kernel():
+    # diagrams._kernel writes and compiles the matcher from a trie's
+    # integers; no other code may turn text into code
+    found = [(file, function) for name in ("exec", "eval", "compile") for file, function, _ in _calls(name)]
+    assert found == [("diagrams.py", "_kernel")]
+
+
+def test_no_tuple_is_built_from_a_generator():
+    # tuple(<generator>) grows its result by resizing, and the tuples it
+    # frees then pile up on the interpreter's free lists until a full
+    # collection; tuple([...]) is built at its final size
+    found = [
+        f"{file}:{node.lineno}"
+        for file, _, node in _calls("tuple")
+        if node.args and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+    assert found == []
