@@ -35,10 +35,14 @@ from .errors import (
     MalformedToken,
     ParseError,
     SameChord,
+    TooLarge,
     UnbalancedLabel,
 )
 
 _ENDPOINT = re.compile(r"([A-Za-z0-9]+)([ht])\Z")
+# a kernel nests one while loop per arrow but the last, and CPython
+# compiles at most 20 statically nested blocks
+MAX_PATTERN_ARROWS = 21
 
 
 class Arrow(NamedTuple):
@@ -118,14 +122,9 @@ class Pattern:
         return " ".join(f"{order.setdefault(i, len(order) + 1)}{kind}" for i, kind in _ends(self.arrows))
 
     @cached_property
-    def trie(self) -> tuple:
-        """The pattern as a one-leaf trie of weight 1, for the matcher."""
-        return _trie([(self, 1)])
-
-    @cached_property
     def kernel(self):
-        """The trie's compiled walk, for the matcher."""
-        return _kernel(self.trie)
+        """The compiled walk of the pattern alone, weight 1, for the matcher."""
+        return _kernel(_trie([(self, 1)]))
 
     def rotate(self, k: int) -> "Pattern":
         """Move the basepoint forward past k endpoints."""
@@ -236,20 +235,20 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(tuple(arrows))
 
 
-def _trie(weighted: Iterable[tuple[Pattern, int]]) -> tuple[int, tuple]:
-    """Based patterns with integer weights as a prefix trie of their steps:
-    the summed weight of the arrowless patterns, and the nodes of depth 1.
+def _trie(weighted: Iterable[tuple[Pattern, int]]) -> list:
+    """Based patterns with integer weights as a prefix tree of their steps.
 
     A pattern's steps are its arrows in first-endpoint order, each as the
     slots of the placed endpoints nearest below and above its tail, then
     its head, and whether it points forward.  Slot 0 is the start, slot 1
     the end, slots 2j + 2 and 2j + 3 the tail and head of the j-th arrow
     placed, so patterns whose first steps are equal share those nodes.
-    A node is ``(*step, weight, leaves, inner)``: weight sums the patterns
-    ending there, ``leaves`` are its children with no children of their
-    own, as ``(*step, weight)``, and ``inner`` the others."""
+    A node, the root included, is ``[weight, children]``: weight sums the
+    patterns ending there, and children maps each next step to its node."""
     root: list = [0, {}]
     for pattern, weight in weighted:
+        if pattern.degree > MAX_PATTERN_ARROWS:
+            raise TooLarge(f"a pattern of {pattern.degree} arrows; the matcher counts at most {MAX_PATTERN_ARROWS}")
         node, placed = root, [-1, 2 * pattern.degree]
         for tail, head in pattern.arrows:
             gaps = [
@@ -260,27 +259,18 @@ def _trie(weighted: Iterable[tuple[Pattern, int]]) -> tuple[int, tuple]:
             node = node[1].setdefault((*gaps, tail < head), [0, {}])
             placed += [tail, head]
         node[0] += weight
-
-    def frozen(children: dict, depth: int) -> tuple[tuple, tuple]:
-        leaves, inner = [], []
-        for step, (weight, below) in children.items():
-            if below or not depth:  # the walk places depth-1 arrows one by one
-                inner.append((*step, weight, *frozen(below, depth + 1)))
-            else:
-                leaves.append((*step, weight))
-        return tuple(leaves), tuple(inner)
-
-    return root[0], frozen(root[1], 0)[1]
+    return root
 
 
-def _kernel(trie: tuple) -> Callable[..., int]:
-    """The trie's walk (see ``count_matches``) written as one function and
-    compiled: a ``while`` loop per node, nested as the trie nests, with the
-    k-th placed arrow's ends in ``tk`` and ``hk``; bounds at the start and
-    end folded to 0 and the full mask; the forward mask only where a tail
-    and its head share a gap, since distinct gaps fix their order; each
-    node's weight and its leaves' weighted signed popcounts as one sum.
-    The source holds only the trie's integers and booleans."""
+def _kernel(trie: list) -> Callable[..., int]:
+    """A ``_trie`` tree's walk (see ``count_matches``) written as one
+    function and compiled: a ``while`` loop per node, nested as the tree
+    nests, save leaves (childless nodes below depth 1), with the k-th
+    placed arrow's ends in ``tk`` and ``hk``; bounds at the start and end
+    folded to 0 and the full mask; the forward mask only where a tail and
+    its head share a gap, since distinct gaps fix their order; each node's
+    weight and its leaves' weighted signed popcounts as one sum.  The
+    source holds only the tree's integers and booleans."""
     lines = ["def kernel(tails, heads, forward, positive, T, H, S):", " full = tails[-1]", f" s0 = {int(trie[0])}"]
     popcount = "(2 * ((m := {}) & positive).bit_count() - m.bit_count())"
 
@@ -292,16 +282,18 @@ def _kernel(trie: tuple) -> Callable[..., int]:
         way = "" if (t_lo, t_hi) != (h_lo, h_hi) else " & forward" if ahead else " & ~forward"
         return f"{ends('tails', t_lo, t_hi)} & {ends('heads', h_lo, h_hi)}{way}"
 
-    def emit(nodes: tuple, k: int) -> None:
+    def emit(children: dict, k: int) -> None:
         pad = " " * k
-        for *step, weight, leaves, below in nodes:
-            pops = [("" if w == 1 else f"{int(w)} * ") + popcount.format(fits(*s)) for *s, w in leaves if w]
+        for step, (weight, below) in children.items():
+            pops = [("" if w == 1 else f"{int(w)} * ") + popcount.format(fits(*s)) for s, (w, kids) in below.items()
+                    if w and not kids]
             here = " + ".join([str(int(weight))] * bool(weight) + pops) or "0"
             lines.extend((f"{pad}f{k} = {fits(*step)}", f"{pad}while f{k}:", f"{pad} d{k} = f{k}.bit_length() - 1",
                           f"{pad} f{k} ^= 1 << d{k}", f"{pad} t{k} = T[d{k}]", f"{pad} h{k} = H[d{k}]"))
-            if below:
+            inner = {s: node for s, node in below.items() if node[1]}
+            if inner:
                 lines.append(f"{pad} s{k} = {here}")
-                emit(below, k + 1)
+                emit(inner, k + 1)
                 here = f"s{k}"
             lines.append(f"{pad} s{k - 1} += S[d{k}] * ({here})")
 
@@ -320,7 +312,7 @@ def count_matches(subject: Union[Pattern, PatternExpression], diagram: ArrowDiag
     For an expression the result is the sum over its based patterns of
     coefficient times count, times the expression's ``denominator``.
 
-    The subject's ``kernel`` walks its ``trie``.  Each node places one
+    The subject's ``kernel`` walks its ``_trie``.  Each node places one
     arrow from one mask: the arrows pointing its way with tail, and head,
     strictly inside the gaps its step names by slot.  Strict gaps reuse
     no arrow and keep the word's order, so the walk visits only partial
@@ -357,20 +349,13 @@ class PatternExpression:
         return lcm(*(t.coeff.denominator for t in self.terms))
 
     @cached_property
-    def trie(self) -> tuple:
-        """The based patterns of every term, weighted by its coefficient
-        times ``denominator``, as one trie for the matcher: every distinct
-        rotation of a bracketed pattern, else the pattern itself."""
-        return _trie(
-            (p, int(t.coeff * self.denominator))
-            for t in self.terms
-            for p in (t.pattern.distinct_rotations() if t.bracket else (t.pattern,))
-        )
-
-    @cached_property
     def kernel(self):
-        """The trie's compiled walk, for the matcher."""
-        return _kernel(self.trie)
+        """The compiled walk, for the matcher, of the based patterns of
+        every term weighted by its coefficient times ``denominator``: every
+        distinct rotation of a bracketed pattern, else the pattern itself."""
+        weighted = ((p, int(t.coeff * self.denominator)) for t in self.terms
+                    for p in (t.pattern.distinct_rotations() if t.bracket else (t.pattern,)))
+        return _kernel(_trie(weighted))
 
 
 def evaluate_expression(expr: PatternExpression, target: ArrowDiagram) -> Fraction:

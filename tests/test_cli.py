@@ -173,6 +173,13 @@ def test_patterns_dir_missing_file_refused(capsys, doubled_v2_dir):
     assert "v3_theorem.pat" in err
 
 
+def test_patterns_dir_refuses_a_pattern_too_deep_to_compile(capsys, doubled_v2_dir):
+    (doubled_v2_dir / "v2.pat").write_text("1 0 " + " ".join(f"{i}t {i}h" for i in range(1, 23)) + "\n")
+    assert run(capsys, "compute", "--patterns-dir", str(doubled_v2_dir)) == (
+        2, "", "error: a pattern of 22 arrows; the matcher counts at most 21\n",
+    )
+
+
 def test_coords_has_no_patterns_dir(capsys, doubled_v2_dir):
     with pytest.raises(SystemExit) as err:
         main(["coords", "--patterns-dir", str(doubled_v2_dir)])

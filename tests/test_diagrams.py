@@ -26,12 +26,13 @@ from vassiliev import (
     parse_pattern_file,
     parse_singular_code,
 )
-from vassiliev.diagrams import Pattern, PatternExpression, PatternTerm
+from vassiliev.diagrams import MAX_PATTERN_ARROWS, Pattern, PatternExpression, PatternTerm, _trie
 from vassiliev.errors import (
     IndexOutOfRange,
     MalformedToken,
     ParseError,
     SameChord,
+    TooLarge,
     UnbalancedLabel,
 )
 
@@ -406,17 +407,17 @@ def test_kernel_agrees_with_oracle_on_deep_patterns_property(seed):
 
 
 def trie_widths(expression: PatternExpression) -> tuple[int, ...]:
-    """Nodes of the expression's trie per depth, leaves included."""
+    """Nodes per depth of the prefix tree of the expression's based patterns."""
+    based = [(p, 1) for t in expression.terms for p in (t.pattern.distinct_rotations() if t.bracket else [t.pattern])]
     widths = Counter()
 
-    def visit(nodes, depth):
-        for *_, leaves, below in nodes:
+    def visit(children, depth):
+        for _, below in children.values():
             widths[depth] += 1
-            widths[depth + 1] += len(leaves)
             visit(below, depth + 1)
 
-    visit(expression.trie[1], 1)
-    return tuple(n for _, n in sorted(widths.items()) if n)
+    visit(_trie(based)[1], 1)
+    return tuple(n for _, n in sorted(widths.items()))
 
 
 def test_bundled_files_walk_shared_prefixes_once():
@@ -429,3 +430,28 @@ def test_bundled_files_walk_shared_prefixes_once():
     assert trie_widths(bundled("v3_theorem.pat")) == (2, 3, 5)
     assert trie_widths(bundled("v3_pv.pat")) == (2, 5, 8)
     assert trie_widths(bundled("v2.pat")) == (1, 1)
+
+
+# -- the deepest pattern the matcher compiles ---------------------------------
+
+def zigzag(n: int) -> tuple[str, ArrowDiagram]:
+    """An n-arrow chain whose arrows alternate direction, as a word and as
+    a diagram with its first arrow negative; the alternation keeps the
+    walk's partial copies few."""
+    word = " ".join(f"{i}t {i}h" if i % 2 else f"{i}h {i}t" for i in range(1, n + 1))
+    arrows = [Arrow(2 * i, 2 * i + 1, 1) if i % 2 == 0 else Arrow(2 * i + 1, 2 * i, 1) for i in range(n)]
+    return word, ArrowDiagram((arrows[0]._replace(sign=-1), *arrows[1:]))
+
+
+def test_matcher_counts_the_deepest_pattern_it_compiles():
+    word, diagram = zigzag(MAX_PATTERN_ARROWS)
+    assert count_matches(parse_pattern(word), diagram) == -1
+
+
+def test_matcher_refuses_a_pattern_too_deep_to_compile():
+    word, diagram = zigzag(MAX_PATTERN_ARROWS + 1)
+    message = r"a pattern of 22 arrows; the matcher counts at most 21\Z"
+    with pytest.raises(TooLarge, match=message):
+        count_matches(parse_pattern(word), diagram)
+    with pytest.raises(TooLarge, match=message):
+        count_matches(parse_pattern_file(f"1 0 1h 2t 1t 2h\n1 1 {word}\n"), diagram)

@@ -2,11 +2,13 @@
 no sign, weight or pattern convention with the package."""
 
 import random
+from importlib import resources
 
-from vassiliev import mirror, v2, v3
+from vassiliev import arrow_diagram_from_code, count_matches, enumerate_chord_diagrams, mirror, parse_pattern_file, v2, v3
 
 from _braids import BRAID_WORDS, braid_closure, is_knot
-from _oracles import alexander, conway, jones, jones_moments
+from _generators import conway_words, one_component_words
+from _oracles import alexander, conway, conway_symbol, jones, jones_moments
 
 
 def seeded_closures(count=20):
@@ -77,3 +79,47 @@ def test_conway_z4_coefficient_on_the_table(corpus):
 def test_conway_is_unchanged_under_mirror(corpus):
     for code in [r.code for r in corpus] + [braid_closure(word) for word in BRAID_WORDS.values()]:
         assert conway(mirror(code)) == conway(code), code
+
+
+# -- Conway coefficients as counts of generated patterns -------------------------
+
+def reversed_word(word: str) -> str:
+    """The word with every arrow's head and tail swapped."""
+    return " ".join(end[:-1] + {"h": "t", "t": "h"}[end[-1]] for end in word.split())
+
+
+def test_generated_degree_2_words_are_the_bundled_v2_pattern():
+    v2_pat = parse_pattern_file((resources.files("vassiliev") / "patterns" / "v2.pat").read_text(encoding="utf-8"))
+    assert conway_words(2) == [t.pattern.word() for t in v2_pat.terms] == ["1h 2t 1t 2h"]
+    assert conway_words(2, first="t") == ["1t 2h 1h 2t"]
+    assert conway_words(3) == conway_words(3, first="t") == []
+
+
+def test_generated_degree_4_words():
+    ascending, descending = conway_words(4), conway_words(4, first="t")
+    assert len(ascending) == len(descending) == 21
+    assert not set(ascending) & set(descending)
+    assert sorted(reversed_word(w) for w in ascending) == descending
+
+
+def test_generated_words_per_chord_diagram_are_the_conway_symbol():
+    diagrams = enumerate_chord_diagrams(4)
+    assert len(diagrams) == 105
+    for d in diagrams:
+        assert len(one_component_words(d)) == conway_symbol(d.chords), d
+
+
+def test_generated_words_count_the_conway_coefficients(corpus):
+    codes = [r.code for r in corpus]
+    codes += [braid_closure(word) for word in BRAID_WORDS.values()]
+    codes += seeded_closures(40)
+    assert len(codes) == 58
+    files = {
+        (m, first): parse_pattern_file("".join(f"1 0 {w}\n" for w in conway_words(m, first)))
+        for m in (2, 4) for first in "ht"
+    }
+    for code in codes:
+        diagram = arrow_diagram_from_code(code)
+        expected = {m: conway_coefficient(code, m // 2) for m in (2, 4)}
+        for (m, first), expression in files.items():
+            assert count_matches(expression, diagram) == expected[m], (code, m, first)
