@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
@@ -552,4 +552,4 @@ def load_knot_table(path) -> list[KnotRecord]:
 
 def bundled_knot_table() -> list[KnotRecord]:
     """The knot table shipped with the package."""
-    return load_knot_table(resources.files("vassiliev") / "fixtures" / "knots.jsonl")
+    return load_knot_table(Path(__file__).parent / "fixtures" / "knots.jsonl")

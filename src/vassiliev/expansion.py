@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .codes import GaussCode, KnotRecord, parse_rational
@@ -121,7 +121,7 @@ def load_expansion(path) -> Expansion:
 def bundled_expansion(degree: int) -> Expansion:
     """The packaged expansion of the given degree (2 or 3)."""
     try:
-        return load_expansion(resources.files("vassiliev") / "expansions" / f"n{degree}.json")
+        return load_expansion(Path(__file__).parent / "expansions" / f"n{degree}.json")
     except FileNotFoundError as exc:
         raise VassilievError(f"no bundled expansion of degree {degree}") from exc
 

@@ -11,7 +11,6 @@ correctness check.
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 from itertools import accumulate
 from operator import xor
 from pathlib import Path
@@ -42,21 +41,16 @@ def _integral(value: Fraction, what: str) -> int:
     return int(value)
 
 
-# The last code object a route evaluated, with its arrow diagram and its
-# crossing table, each built on first use, so the routes of one report
-# share them; one tuple, read and replaced whole.  Only that same object
-# reuses them: an equal code builds its own.
-_last: tuple = (None, None, None)
-
-
-def _shared(code: GaussCode, part: int, build: Callable):
-    """Part 1 (the arrow diagram, from arrow_diagram_from_code) or 2 (the
-    crossing table, from _table) of ``code``: from ``_last``, or built now."""
-    global _last
-    memo = _last if _last[0] is code else (code, None, None)
-    if memo[part] is None:
-        memo = _last = memo[:part] + (build(code),) + memo[part + 1:]
-    return memo[part]
+def _shared(code: GaussCode, build: Callable):
+    """``build(code)``, made once per code object: the arrow diagram
+    (arrow_diagram_from_code) or the crossing table (_table) that the
+    routes of one report share.  It is kept in the code's attribute dict
+    beside ``ends``, keyed by ``build``, so an equal code builds its own
+    and the fields, and with them equality, hash and repr, are untouched."""
+    parts = code.__dict__.setdefault("_parts", {})
+    if build not in parts:
+        parts[build] = build(code)
+    return parts[build]
 
 
 def _table(code: GaussCode) -> tuple[tuple[str, ...], int, int, int, list[int]]:
@@ -76,7 +70,7 @@ def v2_lannes(code: GaussCode) -> int:
     """Degree 2 invariant as a coordinate sum over crossing pairs: a pair
     with dx != dy contributes -w2 * ex * ey, any other pair nothing."""
     # As in v3_lannes, a class with a nonzero count is weighed on its first pair.
-    labels, over, under, positive, rows = _shared(code, 2, _table)
+    labels, over, under, positive, rows = _shared(code, _table)
     counts, members = [0, 0], [None, None]  # pairs (x, y) that do not cross, and that do
     for x in range(len(labels)):
         if over >> x & 1:
@@ -118,7 +112,7 @@ def v3_lannes(code: GaussCode) -> int:
     # a = ys in rows x and z, b = ys in row x, c = ys in row z, d = ys, in units
     # of -ex * ey * ez.  Inclusion-exclusion gives each class's count, and a
     # nonzero one is weighed once, on its first triple.
-    labels, over, under, positive, rows = _shared(code, 2, _table)
+    labels, over, under, positive, rows = _shared(code, _table)
     a0 = b0 = c0 = d0 = a1 = b1 = c1 = d1 = 0  # over pairs (x, z) that do not cross, and that do
     for x in range(len(labels)):
         dx = over >> x & 1
@@ -159,14 +153,14 @@ def v3_lannes(code: GaussCode) -> int:
     return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
 
 
-def _counter(file: str, name: str, doc: str, patterns_dir=resources.files("vassiliev") / "patterns") -> Callable[[GaussCode], int]:
+def _counter(file: str, name: str, doc: str, patterns_dir=Path(__file__).parent / "patterns") -> Callable[[GaussCode], int]:
     """The evaluator ``name`` that counts one pattern file in the shared
     arrow diagram.  The file is read once, here, from patterns_dir (by
     default the package's), and the evaluator records it as ``pattern_file``."""
     expression = load_pattern_file(Path(patterns_dir) / file)
 
     def count(code: GaussCode) -> int:
-        return _integral(evaluate_expression(expression, _shared(code, 1, arrow_diagram_from_code)), f"the {file} count")
+        return _integral(evaluate_expression(expression, _shared(code, arrow_diagram_from_code)), f"the {file} count")
 
     count.__name__ = count.__qualname__ = name
     count.__doc__, count.pattern_file = doc, file
@@ -252,8 +246,8 @@ def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> Invari
     Disagreements are reported, not raised.
     """
     # both built before the routes, so no route's time includes them
-    _shared(code, 1, arrow_diagram_from_code)
-    _shared(code, 2, _table)
+    _shared(code, arrow_diagram_from_code)
+    _shared(code, _table)
     values = {name: fn(code) for name, (_, fn) in registry.items() if family(name)}
     seen: Dict[str, set] = {}
     for name, value in values.items():

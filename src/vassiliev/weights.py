@@ -313,7 +313,8 @@ def weight_from_invariant(
 ) -> Dict[str, WeightSystem]:
     """The weight system each invariant induces at degree n: realize each
     diagram, resolve its double points once, evaluate every invariant on
-    each resolved code before the next, and alternate-sum them all.
+    each resolved code, whose arrow diagram they share, and alternate-sum
+    them all.
 
     Refused above MAX_INDUCED_DEGREE, before any diagram is realized."""
     if n > MAX_INDUCED_DEGREE:

@@ -243,19 +243,20 @@ def test_verify_realizes_each_weights_diagram_once(capsys, monkeypatch):
 
 
 def test_verify_shares_each_resolved_code_between_invariants(capsys, monkeypatch):
-    # v2 and v3 are evaluated on one resolved code before the next, so they
-    # share its arrow diagram: 3 * 4 codes at degree 2, 15 * 8 at degree 3
+    # v2 and v3 share each resolved code's arrow diagram: 3 * 4 codes at
+    # degree 2, 15 * 8 at degree 3
     from vassiliev import invariants
 
     built = []
     build = invariants.arrow_diagram_from_code
     monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: built.append(code) or build(code))
-    monkeypatch.setattr(invariants, "_last", (None, None, None))
     assert run(capsys, "verify", "--suite", "weights") == (0, "PASS weights: 33 diagrams\n", "")
     assert len(built) == 3 * 4 + 15 * 8 == 132
     built.clear()
     code, out, _ = run(capsys, "verify", "--perturbations", "0")
-    assert code == 0 and len(built) == 272
+    # a full run builds one per code object: the expansion suite's two checks
+    # and one solve read one corpus list, so its 11 knots build 11, not 33
+    assert code == 0 and len(built) == len({id(code) for code in built}) == 250
 
 
 def test_verify_builds_the_reference_table_once(capsys, monkeypatch):
@@ -298,6 +299,23 @@ def test_verify_reads_every_reference_from_the_table(capsys, monkeypatch):
     assert run(capsys, "verify", "--suite", "relations") == (0, line, "")
     assert run(capsys, "verify", "--suite", "4t", "--degree", "4") == (0, "PASS 4t: 315 quadruples at degree 4\n", "")
     assert run(capsys, "verify", "--suite", "4t", "--degree", "5") == (2, "", "error: the 4t suite needs --degree 2 or 3 or 4\n")
+
+
+@pytest.mark.parametrize("broken_first", [False, True])
+def test_verify_4t_checks_every_reference_of_its_degree(capsys, monkeypatch, broken_first):
+    # a reference that violates 4T fails the suite whichever key comes first
+    from vassiliev import cli
+    from vassiliev.weights import chord_word
+    from _oracles import conway_symbol
+
+    build = cli.weight_systems
+    conway = vassiliev.weight_system_from_function(lambda d: conway_symbol(d.chords), 4, "conway")
+    broken = vassiliev.weight_system_from_function(lambda d: int(chord_word(d) == "1 2 3 4 1 2 3 4"), 4, "broken")
+    assert not vassiliev.check_relations(broken).four_term_ok
+    extra = {"j4": broken, "c4": conway} if broken_first else {"c4": conway, "j4": broken}
+    monkeypatch.setattr(cli, "weight_systems", lambda: {**build(), **extra})
+    code, out, _ = run(capsys, "verify", "--suite", "4t", "--degree", "4")
+    assert code == 1 and out.startswith("FAIL 4t: 4T: ")
 
 
 def test_compute_reads_the_columns_of_its_registry(capsys, monkeypatch):
@@ -405,6 +423,21 @@ def test_verify_fails_on_broken_table(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--suite", "expansion", "--table", str(table))
     assert code == 1
     assert out.startswith("FAIL")
+
+
+def test_verify_expansion_wants_the_bundled_expected_values(capsys, monkeypatch):
+    # the solved basis values are compared with the bundled table's
+    from fractions import Fraction
+    from vassiliev import cli
+
+    build = cli.bundled_knot_table
+
+    def patched():
+        return [r._replace(expected={**r.expected, "v3": Fraction(1)}) if r.name == "4_1" else r for r in build()]
+
+    monkeypatch.setattr(cli, "bundled_knot_table", patched)
+    code, out, _ = run(capsys, "verify", "--suite", "expansion")
+    assert code == 1 and out.startswith("FAIL expansion: basis solve gave ")
 
 
 def test_verify_invariance_refuses_an_empty_table(capsys, tmp_path):

@@ -408,7 +408,6 @@ def test_report_builds_the_shared_diagram_before_any_route(monkeypatch, trefoil)
     events = []
     build = invariants.arrow_diagram_from_code
     monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: events.append("build") or build(code))
-    monkeypatch.setattr(invariants, "_last", (None, None, None))
     registry = {
         name: (degree, lambda code, fn=fn, name=name: events.append(name) or fn(code))
         for name, (degree, fn) in INVARIANTS.items()
@@ -428,25 +427,37 @@ def test_pattern_routes_share_one_arrow_diagram_per_code(monkeypatch, corpus, do
     built = []
     build = invariants.arrow_diagram_from_code
     monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: built.append(code) or build(code))
-    monkeypatch.setattr(invariants, "_last", (None, None, None))
-    codes = [record.code for record in corpus]
-    last = None
+    codes = [parse_gauss_code(format_code(record.code)) for record in corpus]
     for registry, scale in ((INVARIANTS, 1), (methods(doubled_v2_dir), 2)):
         for code in codes + codes[::-1]:
-            built.clear()
             values = invariant_report(code, registry).values
-            # one build for the three pattern routes, none when the same code
-            # object comes again
-            assert built == ([] if code is last else [code])
-            last = code
-            # and each code is counted in its own diagram
+            # each code is counted in its own diagram
             assert values["v2_pv"] == scale * values["v2_lannes"]
             assert values["v3_pv"] == values["v3_thm"] == values["v3_lannes"]
+    # one build per code object, across both passes and both registries
+    assert [id(code) for code in built] == [id(code) for code in codes]
     # an equal code that is another object builds its own diagram
-    copy = parse_gauss_code(format_code(last))
+    copy = parse_gauss_code(format_code(code))
     built.clear()
     assert invariant_report(copy, registry).values == values
-    assert copy == last and built == [copy]
+    assert copy == code and len(built) == 1 and built[0] is copy
+
+
+def test_reuse_does_not_depend_on_call_order(monkeypatch, corpus, trefoil):
+    built = []
+    for name in ("_table", "arrow_diagram_from_code"):
+        build = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda code, b=build, name=name: built.append((name, id(code))) or b(code))
+    a, b = trefoil, parse_gauss_code(format_code(corpus[3].code))
+    assert [invariant_report(code).consistent for code in (a, b, a)] == [True] * 3
+    # a's parts are kept on a while b is evaluated, so a builds none again
+    assert sorted(built) == sorted((name, id(code)) for name in ("_table", "arrow_diagram_from_code") for code in (a, b))
+
+
+def test_a_report_leaves_the_code_equal_to_a_fresh_parse(trefoil):
+    invariant_report(trefoil)
+    fresh = parse_gauss_code(TREFOIL)
+    assert trefoil == fresh and hash(trefoil) == hash(fresh) and repr(trefoil) == repr(fresh)
 
 
 def test_report_builds_one_crossing_table_before_any_route(monkeypatch):
@@ -470,7 +481,6 @@ def test_an_equal_code_builds_its_own_crossing_table(monkeypatch, trefoil):
     built = []
     build = invariants._table
     monkeypatch.setattr(invariants, "_table", lambda code: built.append(code) or build(code))
-    monkeypatch.setattr(invariants, "_last", (None, None, None))
     assert (v2_lannes(trefoil), v3_lannes(trefoil), v3_lannes(trefoil)) == (1, 1, 1)
     copy = parse_gauss_code(format_code(trefoil))
     assert v3_lannes(copy) == 1
@@ -482,7 +492,6 @@ def test_a_lone_route_builds_only_what_it_reads(monkeypatch, trefoil):
     for name in ("_table", "arrow_diagram_from_code"):
         build = getattr(invariants, name)
         monkeypatch.setattr(invariants, name, lambda code, b=build, name=name: built.append(name) or b(code))
-    monkeypatch.setattr(invariants, "_last", (None, None, None))
     assert v3_theorem(trefoil) == 1 and built == ["arrow_diagram_from_code"]
     copy = parse_gauss_code(TREFOIL)
     built.clear()

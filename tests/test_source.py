@@ -21,6 +21,18 @@ def test_no_assert_statements_in_the_package():
     assert len(files) >= 9 and found == []
 
 
+def test_no_global_statements_in_the_package():
+    # state shared between calls lives on the object it belongs to, so no
+    # function rebinds a module name
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
 def _decorator_name(node: ast.expr) -> str:
     node = node.func if isinstance(node, ast.Call) else node
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")

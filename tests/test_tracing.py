@@ -54,8 +54,8 @@ def _traced(monkeypatch, capsys, argv: list[str]):
 
 
 def test_tracer_reaches_every_compute_layer_and_uninstalls(monkeypatch, capsys):
-    # the untraced run leaves its code in invariants._last; the traced run
-    # parses an equal code anew, which still builds its own arrow diagram
+    # the untraced run keeps its arrow diagram on its own code; the traced
+    # run parses an equal code anew, which still builds its own
     reached = _traced(monkeypatch, capsys, ["compute", "--code", TREFOIL]).reached()
     workloads = importlib.import_module("workloads")
     assert not set(workloads.COMPUTE_LAYERS) - reached
