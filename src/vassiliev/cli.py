@@ -131,8 +131,8 @@ def _weight_system(args, registry):
         if args.degree < degree:
             raise WrongDegree(f"{args.invariant} has degree {degree}; it induces no weight system at degree {args.degree}")
         return weight_from_invariant({args.invariant: fn}, args.degree)[args.invariant]
-    for ws in weight_systems().values():  # the first reference of this degree
-        if ws.degree == args.degree:
+    for name, ws in weight_systems().items():  # the registry's first reference of this degree
+        if name in registry and ws.degree == args.degree:
             return ws
     raise VassilievError(f"no bundled weight system of degree {args.degree}; use --invariant")
 
@@ -243,11 +243,7 @@ def _suite_weights(args, registry, references, reports):
 
 
 def _suite_4t(args, registry, references, reports):
-    due = [ws for ws in references.values() if ws.degree == args.degree]
-    if not due:
-        degrees = " or ".join(map(str, sorted({ws.degree for ws in references.values()})))
-        raise VassilievError(f"the 4t suite needs --degree {degrees}")
-    for ws in due:
+    for ws in (ws for ws in references.values() if ws.degree == args.degree):
         report = _relations(ws, reports)
         if not report.four_term_ok:
             return False, next(v for v in report.violations if v.startswith("4T:"))
@@ -309,8 +305,6 @@ def _suite_invariance(args, registry, references, reports):
 
 
 def _suite_realization(args, registry, references, reports):
-    if args.degree > MAX_ENUM_DEGREE:
-        raise TooLarge(f"the realization suite enumerates at most degree {MAX_ENUM_DEGREE}, got --degree {args.degree}")
     diagrams = [d for degree in range(args.degree + 1) for d in enumerate_chord_diagrams(degree)]
     for d in diagrams:
         realize_chord_diagram(d)  # raises unless d's double points trace back to d
@@ -330,10 +324,17 @@ _SUITES = {
 
 def cmd_verify(args, registry) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    # one table of the registry's references for every suite of this run
+    references = {name: ws for name, ws in weight_systems().items() if name in registry}
+    reports: dict = {}  # and each reference's relation check, made once
+    # a --degree that a selected suite cannot take is refused before any suite runs
+    degrees = sorted({ws.degree for ws in references.values()})
+    if "4t" in names and args.degree not in degrees:
+        raise VassilievError(f"the 4t suite needs --degree {' or '.join(map(str, degrees))}")
+    if "realization" in names and args.degree > MAX_ENUM_DEGREE:
+        raise TooLarge(f"the realization suite enumerates at most degree {MAX_ENUM_DEGREE}, got --degree {args.degree}")
     failed = False
     results = []
-    references = weight_systems()  # one reference table for every suite of this run
-    reports: dict = {}  # and each reference's relation check, made once
     for name in names:
         ok, detail = _SUITES[name](args, registry, references, reports)
         results.append({"suite": name, "passed": ok, "detail": detail})

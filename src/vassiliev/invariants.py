@@ -42,11 +42,12 @@ def _integral(value: Fraction, what: str) -> int:
 
 
 def _shared(code: GaussCode, build: Callable):
-    """``build(code)``, made once per code object: the arrow diagram
-    (arrow_diagram_from_code) or the crossing table (_table) that the
-    routes of one report share.  It is kept in the code's attribute dict
-    beside ``ends``, keyed by ``build``, so an equal code builds its own
-    and the fields, and with them equality, hash and repr, are untouched."""
+    """``build(code)``, made once per code object, by the first route that
+    reads it: the arrow diagram (arrow_diagram_from_code) or the crossing
+    table (_table) that the routes of one report share.  It is kept in the
+    code's attribute dict beside ``ends``, keyed by ``build``, so an equal
+    code builds its own and the fields, and with them equality, hash and
+    repr, are untouched."""
     parts = code.__dict__.setdefault("_parts", {})
     if build not in parts:
         parts[build] = build(code)
@@ -245,9 +246,6 @@ def invariant_report(code: GaussCode, registry: Registry = INVARIANTS) -> Invari
 
     Disagreements are reported, not raised.
     """
-    # both built before the routes, so no route's time includes them
-    _shared(code, arrow_diagram_from_code)
-    _shared(code, _table)
     values = {name: fn(code) for name, (_, fn) in registry.items() if family(name)}
     seen: Dict[str, set] = {}
     for name, value in values.items():

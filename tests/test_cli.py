@@ -78,6 +78,22 @@ def test_compute_single_method(capsys):
     assert "v2_lannes=1" in out and "v2_pv" not in out
 
 
+@pytest.mark.parametrize("method, diagrams, tables", [
+    (None, 11, 11), ("lannes", 0, 11), ("pv", 11, 0), ("thm", 11, 0),
+])
+def test_compute_builds_only_the_parts_its_routes_read(capsys, monkeypatch, method, diagrams, tables):
+    # the Lannes sums read the crossing table and the pattern counts the
+    # arrow diagram, each built once per knot of the bundled table
+    from vassiliev import invariants
+
+    built = []
+    for name in ("arrow_diagram_from_code", "_table"):
+        build = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda code, b=build, name=name: built.append(name) or b(code))
+    assert run(capsys, "compute", *(("--method", method) if method else ()))[0] == 0
+    assert (built.count("arrow_diagram_from_code"), built.count("_table")) == (diagrams, tables)
+
+
 def test_compute_malformed_code(capsys):
     code, out, err = run(capsys, "compute", "--code", "O1+ O1+")
     assert code == 2
@@ -287,14 +303,15 @@ def test_verify_checks_each_reference_once(capsys, monkeypatch):
 
 
 def test_verify_reads_every_reference_from_the_table(capsys, monkeypatch):
-    # a degree-4 reference added to the table, and nowhere else, is checked
-    # by the relations suite and opens the 4t suite at degree 4
+    # a degree-4 reference added to the table, with a registry entry, is
+    # checked by the relations suite and opens the 4t suite at degree 4
     from vassiliev import cli
     from _oracles import conway_symbol
 
     build = cli.weight_systems
     conway = vassiliev.weight_system_from_function(lambda d: conway_symbol(d.chords), 4, "conway")
     monkeypatch.setattr(cli, "weight_systems", lambda: {**build(), "c4": conway})
+    monkeypatch.setitem(vassiliev.INVARIANTS, "c4", (4, lambda code: 0))
     line = "PASS relations: w2, w3, conway pass; constant-1 control fails as it should\n"
     assert run(capsys, "verify", "--suite", "relations") == (0, line, "")
     assert run(capsys, "verify", "--suite", "4t", "--degree", "4") == (0, "PASS 4t: 315 quadruples at degree 4\n", "")
@@ -314,8 +331,41 @@ def test_verify_4t_checks_every_reference_of_its_degree(capsys, monkeypatch, bro
     assert not vassiliev.check_relations(broken).four_term_ok
     extra = {"j4": broken, "c4": conway} if broken_first else {"c4": conway, "j4": broken}
     monkeypatch.setattr(cli, "weight_systems", lambda: {**build(), **extra})
+    for name in extra:
+        monkeypatch.setitem(vassiliev.INVARIANTS, name, (4, lambda code: 0))
     code, out, _ = run(capsys, "verify", "--suite", "4t", "--degree", "4")
     assert code == 1 and out.startswith("FAIL 4t: 4T: ")
+
+
+def test_a_reference_without_a_registry_entry_is_read_nowhere(capsys, monkeypatch):
+    # verify and weights read the references of their registry's invariants
+    from vassiliev import cli
+    from _oracles import conway_symbol
+
+    build = cli.weight_systems
+    conway = vassiliev.weight_system_from_function(lambda d: conway_symbol(d.chords), 4, "conway")
+    monkeypatch.setattr(cli, "weight_systems", lambda: {**build(), "c4": conway})
+    line = "PASS relations: w2, w3 pass; constant-1 control fails as it should\n"
+    assert run(capsys, "verify", "--suite", "relations") == (0, line, "")
+    assert run(capsys, "verify", "--suite", "4t", "--degree", "4") == (2, "", "error: the 4t suite needs --degree 2 or 3\n")
+    code, out, _ = run(capsys, "weights", "--degree", "4")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [["--degree", "4"], ["--degree", "7", "--perturbations", "0"]])
+def test_verify_refuses_a_degree_before_any_suite_runs(capsys, monkeypatch, argv):
+    # calibration, relations and weights come before 4t and realization,
+    # and none of them runs when a selected suite cannot take --degree
+    from vassiliev import cli, weights
+
+    calls = []
+    for module, name in ((cli, "invariant_report"), (cli, "realize_chord_diagram"), (weights, "realize_chord_diagram")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name): calls.append(a) or f(*a))
+    assert run(capsys, "verify", *argv) == (2, "", "error: the 4t suite needs --degree 2 or 3\n")
+    assert calls == []
+    code, out, err = run(capsys, "verify", "--suite", "realization", "--degree", "7")
+    assert (code, out, calls) == (2, "", []) and "at most degree 6" in err
+    assert run(capsys, "verify", "--suite", "realization", "--degree", "4") == (0, "PASS realization: 125 diagrams through degree 4\n", "")
 
 
 def test_compute_reads_the_columns_of_its_registry(capsys, monkeypatch):

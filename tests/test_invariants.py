@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 
 from vassiliev import (
     INVARIANTS,
+    arrow_diagram_from_code,
     bundled_expansion,
     check_expansion,
     chord_subdiagram,
+    count_matches,
     delta,
     epsilon,
     format_code,
@@ -21,6 +23,7 @@ from vassiliev import (
     methods,
     mirror,
     parse_gauss_code,
+    parse_pattern_file,
     reverse_orientation,
     rotate_basepoint,
     v2,
@@ -40,6 +43,7 @@ from vassiliev.invariants import family
 from conftest import TREFOIL
 from test_codes import random_code
 from _braids import braid_closure, is_knot
+from _generators import conway_words
 
 ALL_METHODS = (v2_lannes, v2_polyak_viro, v3_lannes, v3_polyak_viro, v3_theorem)
 ROUTES = tuple(name for name in INVARIANTS if family(name))
@@ -97,6 +101,56 @@ def test_connected_sum_additivity(corpus):
     assert values["granny"] == (2 * values["3_1"][0], 2 * values["3_1"][1])
     assert values["square"][0] == values["3_1"][0] + values["3_1m"][0]
     assert values["square"][1] == values["3_1"][1] + values["3_1m"][1]
+
+
+# The braid relation in four sign forms, each a Reidemeister III move on the
+# closure: s1 s2 s1 = s2 s1 s2, its all-inverse form, s1 s2 s1^-1 =
+# s2^-1 s1 s2 and s1^-1 s2 s1 = s2 s1 s2^-1.
+BRAID_RELATIONS = (
+    ((1, 2, 1), (2, 1, 2)),
+    ((-1, -2, -1), (-2, -1, -2)),
+    ((1, 2, -1), (-2, 1, 2)),
+    ((-1, 2, 1), (2, 1, -2)),
+)
+
+
+def braid_relation_pairs(words: int = 50) -> list[tuple[list[int], list[int]]]:
+    """Seeded knotted 3- and 4-strand words of 6 to 16 letters, each paired
+    with every word that one braid relation, either way round and shifted
+    to generators i and i + 1, makes of it at one position."""
+    rng = random.Random(3)
+    pairs = []
+    for _ in range(words):
+        while True:
+            strands = rng.choice((3, 4))
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(6, 16))]
+            if is_knot(word):
+                break
+        for i in range(1, strands - 1):
+            for relation in BRAID_RELATIONS:
+                for a, b in (relation, relation[::-1]):
+                    a, b = ([e + (i - 1 if e > 0 else 1 - i) for e in side] for side in (a, b))
+                    pairs += [(word, word[:p] + b + word[p + 3:]) for p in range(len(word) - 2) if word[p:p + 3] == a]
+    return pairs
+
+
+def test_braid_relations_leave_every_route_and_the_generated_c4_counts():
+    # a second source of Reidemeister III moves, beside the R1 and R2 moves
+    # of random_perturbations: every route and both generated c4 counts keep
+    # their values, while the lone based count of one three-arrow word,
+    # which is no invariant, moves on some pair
+    files = [parse_pattern_file("".join(f"1 0 {w}\n" for w in conway_words(4, first))) for first in "ht"]
+    control = parse_pattern_file("1 0 1h 2t 3h 1t 2h 3t\n")
+    pairs = braid_relation_pairs()
+    assert len(pairs) >= 50
+    moved = 0
+    for word, other in pairs:
+        a, b = braid_closure(word), braid_closure(other)
+        assert invariant_report(a).values == invariant_report(b).values, (word, other)
+        da, db = arrow_diagram_from_code(a), arrow_diagram_from_code(b)
+        assert [count_matches(f, da) for f in files] == [count_matches(f, db) for f in files], (word, other)
+        moved += count_matches(control, da) != count_matches(control, db)
+    assert moved >= 1
 
 
 def test_report_shape(trefoil):
@@ -404,7 +458,7 @@ def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
         assert len(pair_classes) == len(pairs) and len(triple_classes) == len(triples)
 
 
-def test_report_builds_the_shared_diagram_before_any_route(monkeypatch, trefoil):
+def test_report_builds_the_shared_diagram_in_its_first_reader(monkeypatch, trefoil):
     events = []
     build = invariants.arrow_diagram_from_code
     monkeypatch.setattr(invariants, "arrow_diagram_from_code", lambda code: events.append("build") or build(code))
@@ -413,7 +467,9 @@ def test_report_builds_the_shared_diagram_before_any_route(monkeypatch, trefoil)
         for name, (degree, fn) in INVARIANTS.items()
     }
     assert invariant_report(trefoil, registry).consistent
-    assert events == ["build", *ROUTES]
+    # one build, inside v2_pv, the first route that reads the diagram
+    assert ROUTES[:2] == ("v2_lannes", "v2_pv")
+    assert events == [*ROUTES[:2], "build", *ROUTES[2:]]
 
 
 def test_routes_agree_on_a_large_braid_closure():
@@ -460,7 +516,7 @@ def test_a_report_leaves_the_code_equal_to_a_fresh_parse(trefoil):
     assert trefoil == fresh and hash(trefoil) == hash(fresh) and repr(trefoil) == repr(fresh)
 
 
-def test_report_builds_one_crossing_table_before_any_route(monkeypatch):
+def test_report_builds_one_crossing_table_in_its_first_reader(monkeypatch):
     events = []
     for name in ("delta", "epsilon"):
         coordinate = getattr(invariants, name)
@@ -471,10 +527,12 @@ def test_report_builds_one_crossing_table_before_any_route(monkeypatch):
     }
     code = _closure(12, 12)
     invariant_report(code, registry)
-    # one delta and one epsilon per crossing, all before the five routes
+    # one delta and one epsilon per crossing, all inside v2_lannes, the
+    # first route that reads the table
     n = len(code.crossings)
-    assert sorted(events[:2 * n]) == ["delta"] * n + ["epsilon"] * n
-    assert events[2 * n:] == list(ROUTES)
+    assert events[0] == ROUTES[0] == "v2_lannes"
+    assert sorted(events[1:2 * n + 1]) == ["delta"] * n + ["epsilon"] * n
+    assert events[2 * n + 1:] == list(ROUTES[1:])
 
 
 def test_an_equal_code_builds_its_own_crossing_table(monkeypatch, trefoil):
