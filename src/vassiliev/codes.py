@@ -113,13 +113,21 @@ class _Code:
     def _labels(self, kind: type) -> tuple[str, ...]:
         return tuple([label for k, label in self.ends if k is kind])
 
-    def pairs(self) -> Iterator[tuple[type, int, int]]:
-        """(passage type, first, second) per label, in order of first
-        appearance; a label not met exactly twice raises UnbalancedLabel."""
+    def pairs(self) -> Iterator[tuple[type, int, int, int]]:
+        """(passage type, over position, under position, sign) per label,
+        in order of first appearance.  A double point is read as its
+        positive resolution: first visit over, sign +1.  A label not met
+        exactly twice raises UnbalancedLabel."""
         for (kind, label), hits in self.ends.items():
             if len(hits) != 2:
                 raise UnbalancedLabel(f"label {label!r} occurs {len(hits)} times")
-            yield kind, hits[0], hits[1]
+            first, second = hits
+            if kind is DoublePointPassage:
+                yield kind, first, second, 1
+            elif (p := self.passages[first]).role == OVER:
+                yield kind, first, second, p.sign
+            else:
+                yield kind, second, first, p.sign
 
 
 @dataclass(frozen=True)
@@ -326,19 +334,18 @@ def apply_r1(code: GaussCode, position: int, sign: int, first_role: str = OVER) 
 # attached at the vertex it points away from.
 #
 # Counterclockwise dart order at a vertex, writing o/u for the over and
-# under passage and in/out for arriving and leaving darts:
+# under passage (from ``pairs``, which reads a double point as its
+# positive resolution) and in/out for arriving and leaving darts:
 #
 #   positive crossing   (o-in, u-in, o-out, u-out)
 #   negative crossing   (o-in, u-out, o-out, u-in)
-#   double point        (first-in, second-in, first-out, second-out)
 #
 # Faces are the orbits of (next counterclockwise) after (flip dart); the
 # code is realizable in the plane exactly when there are c + 2 of them.
 
 
 def _rotation_system(code: Union[GaussCode, SingularCode]) -> list[tuple[int, int, int, int]]:
-    ps = code.passages
-    n = len(ps)
+    n = len(code.passages)
     if n % 2:
         raise VassilievError("odd number of passages")
 
@@ -348,18 +355,11 @@ def _rotation_system(code: Union[GaussCode, SingularCode]) -> list[tuple[int, in
     def d_out(p: int) -> int:
         return 2 * p
 
-    rotations = []
-    for kind, first, second in code.pairs():
-        if kind is DoublePointPassage:
-            rotations.append((d_in(first), d_in(second), d_out(first), d_out(second)))
-            continue
-        a = ps[first]
-        over, under = (first, second) if a.role == OVER else (second, first)
-        if a.sign > 0:
-            rotations.append((d_in(over), d_in(under), d_out(over), d_out(under)))
-        else:
-            rotations.append((d_in(over), d_out(under), d_out(over), d_in(under)))
-    return rotations
+    return [
+        (d_in(over), d_in(under), d_out(over), d_out(under)) if sign > 0
+        else (d_in(over), d_out(under), d_out(over), d_in(under))
+        for _, over, under, sign in code.pairs()
+    ]
 
 
 def _faces(code: Union[GaussCode, SingularCode]) -> list[tuple[int, ...]]:

@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .codes import DoublePointPassage, GaussCode, OVER, SingularCode
+from .codes import DoublePointPassage, GaussCode, SingularCode
 from .errors import (
     IndexOutOfRange,
     MalformedToken,
@@ -84,22 +84,23 @@ class ArrowDiagram:
         return len(self.arrows)
 
     @cached_property
-    def masks(self) -> tuple[list[int], list[int], int, int]:
-        """For the matcher, as bitmasks over the arrows: per position p in
-        0..2n, the arrows with tail, and with head, before p, so the arrows
-        with tail strictly between positions a and b are
-        tails[b] ^ tails[a + 1]; the forward arrows; the +1 arrows."""
+    def masks(self) -> tuple[list[int], list[int], int, int, list[int], list[int], list[int]]:
+        """The matcher's kernel arguments.  As bitmasks over the arrows: per
+        position p in 0..2n, the arrows with tail, and with head, before p,
+        so the arrows with tail strictly between positions a and b are
+        tails[b] ^ tails[a + 1]; the forward arrows; the +1 arrows.  Then
+        per arrow its tail, its head and its sign."""
         tail_at, head_at = [0] * (2 * self.degree), [0] * (2 * self.degree)
+        tail_of, head_of, sign_of = [0] * self.degree, [0] * self.degree, [0] * self.degree
         forward = positive = 0
-        for d, a in enumerate(self.arrows):
-            bit = 1 << d
-            tail_at[a.tail] = head_at[a.head] = bit
-            if a.tail < a.head:
-                forward |= bit
-            if a.sign > 0:
-                positive |= bit
+        for d, (tail, head, sign) in enumerate(self.arrows):
+            tail_at[tail] = head_at[head] = 1 << d
+            forward |= (tail < head) << d
+            positive |= (sign > 0) << d
+            tail_of[d], head_of[d], sign_of[d] = tail, head, sign
         # one bit per position, so the running sums are the running unions
-        return list(accumulate(tail_at, initial=0)), list(accumulate(head_at, initial=0)), forward, positive
+        return (list(accumulate(tail_at, initial=0)), list(accumulate(head_at, initial=0)), forward, positive,
+                tail_of, head_of, sign_of)
 
 
 @dataclass(frozen=True)
@@ -162,18 +163,9 @@ class ChordDiagram:
 
 
 def arrow_diagram_from_code(code: Union[GaussCode, SingularCode]) -> ArrowDiagram:
-    """Arrow diagram of a code; double points become sign +1 arrows
-    pointing from the first visit."""
-    arrows = []
-    for kind, first, second in code.pairs():
-        p = code.passages[first]
-        if kind is DoublePointPassage:
-            arrows.append(Arrow(first, second, 1))
-        elif p.role == OVER:
-            arrows.append(Arrow(first, second, p.sign))
-        else:
-            arrows.append(Arrow(second, first, p.sign))
-    return ArrowDiagram(tuple(arrows))
+    """Arrow diagram of a code: an arrow from over to under, with its sign,
+    per pair of ``code.pairs()``, so a double point is its positive resolution."""
+    return ArrowDiagram(tuple([Arrow(over, under, sign) for _, over, under, sign in code.pairs()]))
 
 
 def chord_diagram(source: Union[GaussCode, SingularCode, ArrowDiagram]) -> ChordDiagram:
@@ -191,8 +183,9 @@ def _packed(spans: Sequence[tuple[int, int]]) -> ChordDiagram:
 
 def double_point_diagram(code: SingularCode) -> ChordDiagram:
     """Chord diagram of the double points alone, ordinary crossings
-    ignored, positions packed in traversal order."""
-    return _packed([(a, b) for kind, a, b in code.pairs() if kind is DoublePointPassage])
+    ignored, positions packed in traversal order; a double point's over
+    and under ends are its first and second visits."""
+    return _packed([(over, under) for kind, over, under, _ in code.pairs() if kind is DoublePointPassage])
 
 
 def chord_subdiagram(code: GaussCode, labels: Sequence[str]) -> ChordDiagram:
@@ -321,10 +314,7 @@ def count_matches(subject: Union[Pattern, PatternExpression], diagram: ArrowDiag
     leaf's mask is built inline and its signed popcount added, times its
     weight.
     """
-    tails, heads, forward, positive = diagram.masks
-    arrows = diagram.arrows
-    tails_at, heads_at, signs = [a.tail for a in arrows], [a.head for a in arrows], [a.sign for a in arrows]
-    return subject.kernel(tails, heads, forward, positive, tails_at, heads_at, signs)
+    return subject.kernel(*diagram.masks)
 
 
 class PatternTerm(NamedTuple):

@@ -185,26 +185,25 @@ def resolve_singular(s: SingularCode) -> list[tuple[int, GaussCode]]:
     crossing).
 
     Returns 2^d signed codes ordered by resolution bitmask (bit i set =
-    double point i resolved negatively).  In the positive resolution the
-    first visit becomes the over-passage with sign +1; in the negative
-    one it becomes the under-passage with sign -1.
+    double point i resolved negatively).  The over end of a double point
+    is the one ``s.pairs()`` gives, its first visit: the positive
+    resolution puts the over passage there with sign +1, the negative one
+    the under passage with sign -1.
     """
-    dps = s.double_points
-    taken = {p.label for p in s.passages if isinstance(p, Passage)}
-    fresh = iter(_fresh_labels(s, len(dps)))
-    new_label = {l: next(fresh) if l in taken else l for l in dps}
-    index = {l: i for i, l in enumerate(dps)}
+    taken = {label for kind, label in s.ends if kind is Passage}
+    fresh = iter(_fresh_labels(s, s.degree))
     # Every resolution has the same labels at the same positions, so one
-    # pairing table and one pair of passages per double-point visit serve all.
-    ends = {(Passage, new_label[l]) if k is DoublePointPassage else (k, l): hits for (k, l), hits in s.ends.items()}
-    visits = []  # (position, bit, (positive, negative passage))
-    for i, p in enumerate(s.passages):
-        if not isinstance(p, Passage):
-            first, second = (OVER, UNDER) if p.visit == "a" else (UNDER, OVER)
-            label = new_label[p.label]
-            visits.append((i, index[p.label], (Passage(label, first, 1), Passage(label, second, -1))))
+    # pairing table and one pair of passages per double-point end serve all.
+    ends, visits = {}, []  # visits: (position, bit, (positive, negative passage))
+    for ((kind, label), hits), (_, over, under, _) in zip(s.ends.items(), s.pairs()):
+        if kind is DoublePointPassage:
+            kind, bit = Passage, len(visits) // 2
+            label = next(fresh) if label in taken else label
+            visits += [(over, bit, (Passage(label, OVER, 1), Passage(label, UNDER, -1))),
+                       (under, bit, (Passage(label, UNDER, 1), Passage(label, OVER, -1)))]
+        ends[kind, label] = hits
     out = []
-    for mask in range(1 << len(dps)):
+    for mask in range(1 << s.degree):
         passages = list(s.passages)
         for i, bit, choice in visits:
             passages[i] = choice[mask >> bit & 1]

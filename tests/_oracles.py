@@ -16,6 +16,14 @@ the passages.  Its z^2 coefficient is v2 (same chapter on the Conway
 polynomial).  The cost grows like c^4 in the crossing count c, so keep
 inputs to about 20 crossings.
 
+For a braid closure the Conway polynomial also comes from the reduced
+Burau matrix (Birman, "Braids, Links and Mapping Class Groups", 1974),
+as a series in h with t = e^h.  Series are lists of exact Fractions,
+the coefficients of h^0 .. h^7, so it gives z^0 .. z^6; nothing is
+interpolated, so the numbers stay small.  The cost is one series
+product per letter and matrix row, so it reaches closures of a few
+hundred crossings.
+
 Two weight systems come in closed form from the same book, for chord
 diagrams given as pairs of endpoint positions.  The Conway symbol, the
 symbol of c_n, is 1 when the diagram's ribbon surface has one boundary
@@ -225,3 +233,95 @@ def _sl2(chords) -> Fraction:
 def sl2_symbol(chords) -> Fraction:
     """w'(D) = sum over chord subsets J of (-3/2)^|J| W(D minus J)."""
     return sum(Fraction(-3, 2) ** len(j) * _sl2(rest) for j, rest in _subsets(chords))
+
+
+_TERMS = 8  # h^0 .. h^7
+
+
+def _times_series(p: list, q: list) -> list:
+    """p q, truncated after h^7."""
+    return [sum(p[i] * q[n - i] for i in range(n + 1) if p[i] and q[n - i]) for n in range(_TERMS)]
+
+
+def _exp(a) -> list:
+    """e^(a h)."""
+    return [Fraction(a) ** n / factorial(n) for n in range(_TERMS)]
+
+
+def _inverse_series(p: list) -> list:
+    """1 / p, for p with a nonzero constant term."""
+    out = [1 / Fraction(p[0])]
+    for n in range(1, _TERMS):
+        out.append(-sum(p[i] * out[n - i] for i in range(1, n + 1)) * out[0])
+    return out
+
+
+def _burau(word: list[int], strands: int) -> list[list[list]]:
+    """The reduced Burau matrix of the word at t = e^h, (strands - 1)
+    square.  sigma_i differs from the identity only in row i - 1, which
+    has (t, -t, 1) at columns (i - 2, i - 1, i); sigma_i^-1 has (1, -1/t,
+    1/t) there.  Multiplying by a letter on the right changes only those
+    three columns, by one series product per row."""
+    m = strands - 1
+    matrix = [[_exp(0) if i == j else [Fraction(0)] * _TERMS for j in range(m)] for i in range(m)]
+    t, over_t = _exp(1), _exp(-1)
+    for e in word:
+        r = abs(e) - 1
+        for row in matrix:
+            pivot = row[r]
+            scaled = _times_series(pivot, t if e > 0 else over_t)
+            left, right = (scaled, pivot) if e > 0 else (pivot, scaled)
+            if r > 0:
+                row[r - 1] = [a + b for a, b in zip(row[r - 1], left)]
+            if r + 1 < m:
+                row[r + 1] = [a + b for a, b in zip(row[r + 1], right)]
+            row[r] = [-x for x in scaled]
+    return matrix
+
+
+def _determinant(matrix: list[list[list]]) -> list:
+    """The determinant of a square matrix of series, by elimination on
+    pivots with a nonzero constant term; raises ValueError when a column
+    has none, as when the matrix is singular at h = 0."""
+    m = [row[:] for row in matrix]
+    det = _exp(0)
+    for k in range(len(m)):
+        p = next((r for r in range(k, len(m)) if m[r][k][0]), None)
+        if p is None:
+            raise ValueError("no pivot with a nonzero constant term")
+        if p != k:
+            m[k], m[p], det = m[p], m[k], [-x for x in det]
+        det = _times_series(det, m[k][k])
+        inverse = _inverse_series(m[k][k])
+        for r in range(k + 1, len(m)):
+            factor = _times_series(m[r][k], inverse)
+            for c in range(k + 1, len(m)):
+                m[r][c] = [a - b for a, b in zip(m[r][c], _times_series(factor, m[k][c]))]
+    return det
+
+
+def burau_conway(word: list[int], strands: int) -> list[int]:
+    """[c0, c2, c4, c6], the coefficients of z^0 .. z^6 in the Conway
+    polynomial of the closure of a braid word on ``strands`` strands
+    (letters as in ``_braids``), which must be a knot.
+
+    f(h) = det(I - psi(beta)) / (1 + t + ... + t^(strands - 1)) is
+    +-e^(a h) Delta(e^h), and Delta(e^h) is even in h; a = f'(0) / f(0).
+    Dividing out f(0) e^(a h) leaves Delta(e^h), read off in powers of
+    z^2 = t + 1/t - 2, which starts at h^2, one power at a time."""
+    minus = [[[-x for x in s] for s in row] for row in _burau(word, strands)]
+    for i in range(strands - 1):
+        minus[i][i][0] += 1  # the identity is 1 at h^0 only
+    denominator = [sum(c) for c in zip(*(_exp(j) for j in range(strands)))]
+    f = _times_series(_determinant(minus), _inverse_series(denominator))
+    delta = [x / f[0] for x in _times_series(f, _exp(-f[1] / f[0]))]
+    z2 = [x + y for x, y in zip(_exp(1), _exp(-1))]
+    z2[0] -= 2
+    coeffs, power = [], _exp(0)
+    for j in range(4):
+        coeffs.append(delta[2 * j])
+        delta = [x - coeffs[-1] * y for x, y in zip(delta, power)]
+        power = _times_series(power, z2)
+    if any(delta) or any(c.denominator != 1 for c in coeffs):
+        raise ValueError(f"{word} on {strands} strands gives no Conway polynomial: {coeffs}, remainder {delta}")
+    return [int(c) for c in coeffs]

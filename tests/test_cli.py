@@ -414,6 +414,53 @@ def test_verify_4t_reports_violation(capsys, monkeypatch):
     assert out.startswith("FAIL 4t: 4T: ")
 
 
+def test_invariance_fails_a_route_that_reads_the_basepoint(capsys, monkeypatch):
+    def over_first(code):
+        # rotating the trefoil's code by one passage starts it under
+        return int(bool(code.passages) and code.passages[0].role == "O")
+
+    monkeypatch.setitem(vassiliev.INVARIANTS, "based_over", (2, over_first))
+    code, out, _ = run(capsys, "verify", "--suite", "invariance", "--perturbations", "0")
+    assert (code, out) == (1, "FAIL invariance: 3_1: based_over changed at rotation 1\n")
+
+
+def test_invariance_fails_a_route_that_counts_crossings_mod_2(capsys, monkeypatch):
+    # unchanged by rotation; a curl adds one crossing, and perturbation 1
+    # of seed 0, on the trefoil, is the first chain to add an odd number
+    monkeypatch.setitem(vassiliev.INVARIANTS, "crossings_parity", (2, lambda code: len(code.passages) // 2 % 2))
+    code, out, _ = run(capsys, "verify", "--suite", "invariance", "--perturbations", "10")
+    assert (code, out) == (1, "FAIL invariance: 3_1: crossings_parity changed under perturbation 1\n")
+
+
+def test_relations_suite_fails_a_reference_that_breaks_1t(capsys, monkeypatch):
+    from vassiliev import weights
+
+    monkeypatch.setattr(weights, "w3", lambda d: 1)
+    code, out, _ = run(capsys, "verify", "--suite", "relations")
+    assert (code, out) == (1, "FAIL relations: w3: 1T: 1 1 2 2 3 3 -> 1\n")
+
+
+def test_weights_prints_every_violation_of_a_reference(capsys, monkeypatch):
+    # a constant weight passes 4T and fails 1T on each diagram with an
+    # isolated chord: all but the four whose chords form a connected graph
+    from vassiliev import weights
+
+    monkeypatch.setattr(weights, "w3", lambda d: 1)
+    words = [weights.chord_word(d) for d in weights.enumerate_chord_diagrams(3)]
+    connected = {"1 2 1 3 2 3", "1 2 3 1 2 3", "1 2 3 1 3 2", "1 2 3 2 1 3"}
+    want = "".join(f"diagram={w}  value=1\n" for w in words) + "one_term_ok=False  four_term_ok=True\n"
+    want += "".join(f"violation: 1T: {w} -> 1\n" for w in words if w not in connected)
+    assert run(capsys, "weights", "--degree", "3") == (1, want, "")
+
+
+def test_relations_suite_fails_a_check_that_passes_the_constant_control(capsys, monkeypatch):
+    from vassiliev import cli, weights
+
+    monkeypatch.setattr(cli, "check_relations", lambda ws: weights.RelationReport(True, True, ()))
+    code, out, _ = run(capsys, "verify", "--suite", "relations")
+    assert (code, out) == (1, "FAIL relations: constant system passed the isolated-chord check\n")
+
+
 def test_verify_bad_suite_name(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])

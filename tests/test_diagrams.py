@@ -125,7 +125,8 @@ def test_singular_code_arrows():
 
 
 # ArrowDiagram.masks as first written, kept as the oracle: the endpoint
-# at each position, then one generator pass per mask.
+# at each position, then one generator pass per mask, then each arrow's
+# tail, head and sign.
 def oracle_masks(diagram: ArrowDiagram):
     at: list = [None] * (2 * len(diagram.arrows))
     for i, a in enumerate(diagram.arrows):
@@ -134,7 +135,8 @@ def oracle_masks(diagram: ArrowDiagram):
     heads = list(itertools.accumulate(((kind == "h") << d for d, kind in at), or_, initial=0))
     forward = sum((a.tail < a.head) << d for d, a in enumerate(diagram.arrows))
     positive = sum((a.sign > 0) << d for d, a in enumerate(diagram.arrows))
-    return tails, heads, forward, positive
+    return (tails, heads, forward, positive,
+            [a.tail for a in diagram.arrows], [a.head for a in diagram.arrows], [a.sign for a in diagram.arrows])
 
 
 @given(st.integers(0, 10 ** 6))

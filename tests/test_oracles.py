@@ -4,11 +4,14 @@ no sign, weight or pattern convention with the package."""
 import random
 from importlib import resources
 
-from vassiliev import arrow_diagram_from_code, count_matches, enumerate_chord_diagrams, mirror, parse_pattern_file, v2, v3
+from vassiliev import (
+    arrow_diagram_from_code, count_matches, enumerate_chord_diagrams, mirror, parse_pattern_file, v2, v2_lannes,
+    v2_polyak_viro, v3,
+)
 
-from _braids import BRAID_WORDS, braid_closure, is_knot
+from _braids import BRAID_WORDS, braid_closure, is_knot, strand_count
 from _generators import conway_words, one_component_words
-from _oracles import alexander, conway, conway_symbol, jones, jones_moments
+from _oracles import alexander, burau_conway, conway, conway_symbol, jones, jones_moments
 
 
 def seeded_closures(count=20):
@@ -123,3 +126,49 @@ def test_generated_words_count_the_conway_coefficients(corpus):
         expected = {m: conway_coefficient(code, m // 2) for m in (2, 4)}
         for (m, first), expression in files.items():
             assert count_matches(expression, diagram) == expected[m], (code, m, first)
+
+
+# -- the Conway polynomial from the reduced Burau matrix -------------------------
+
+def knotted_word(rng: random.Random, strands: int, length: int) -> list[int]:
+    """A word of ``length`` letters on exactly ``strands`` strands whose
+    closure is a knot.  A k-strand knot's permutation is a k-cycle, of
+    parity k - 1, so any other length parity would never close."""
+    if length % 2 != (strands - 1) % 2:
+        raise ValueError(f"no {length}-letter word on {strands} strands closes to a knot")
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+        if max(map(abs, word)) == strands - 1 and is_knot(word):
+            return word
+
+
+def test_burau_conway_is_the_wirtinger_conway():
+    rng = random.Random(23)
+    # the (2, 7) torus knot's Conway polynomial is 1 + 6z^2 + 5z^4 + z^6
+    cases = [(word, conway(braid_closure(word))) for word in (*BRAID_WORDS.values(), [1] * 7)]
+    assert cases[-1][1] == [1, 6, 5, 1]
+    while len(cases) < len(BRAID_WORDS) + 11:
+        strands = rng.choice((3, 4, 5))
+        word = knotted_word(rng, strands, rng.choice([n for n in range(4, 13) if n % 2 != strands % 2]))
+        if (want := conway(braid_closure(word))) != [1]:  # most short words close to unknots
+            cases.append((word, want))
+    for word, want in cases:
+        assert burau_conway(word, strand_count(word)) == (want + [0] * 4)[:4], word
+    assert {len(word) for word, _ in cases} >= {10, 12} and {strand_count(word) for word, _ in cases} == {2, 3, 4, 5}
+
+
+def test_burau_conway_gives_v2_and_the_generated_c4_counts_on_large_closures():
+    # past the Wirtinger oracle's reach: closures of 20 to 161 crossings
+    rng = random.Random(5)
+    files = [parse_pattern_file("".join(f"1 0 {w}\n" for w in conway_words(4, first))) for first in "ht"]
+    c4s = []
+    for strands, lengths in ((3, (20, 40, 80, 160)), (4, (21, 41, 81, 161))):
+        for length in lengths:
+            word = knotted_word(rng, strands, length)
+            code = braid_closure(word)
+            _, c2, c4, _ = burau_conway(word, strands)
+            assert v2_lannes(code) == v2_polyak_viro(code) == c2, word
+            diagram = arrow_diagram_from_code(code)
+            assert [count_matches(f, diagram) for f in files] == [c4, c4], word
+            c4s.append(c4)
+    assert len(set(c4s)) > 2, c4s

@@ -92,3 +92,16 @@ def test_no_tuple_is_built_from_a_generator():
         if node.args and isinstance(node.args[0], ast.GeneratorExp)
     ]
     assert found == []
+
+
+def test_only_codes_and_coordinates_read_a_passage_role_or_visit():
+    # the over end and the double-point convention are decided by pairs();
+    # coordinates.delta stays because the benchmark's tracer wraps it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name not in ("codes.py", "coordinates.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("role", "visit")
+    ]
+    assert found == []
