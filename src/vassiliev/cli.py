@@ -158,9 +158,10 @@ def cmd_weights(args, registry) -> int:
         print(json.dumps(doc, sort_keys=True))
     else:
         _print_rows(args.format, ["diagram", "value"], rows, sys.stdout)
-        print(f"one_term_ok={report.one_term_ok}  four_term_ok={report.four_term_ok}")
+        verdict = sys.stderr if args.format == "csv" else sys.stdout  # csv keeps stdout one table
+        print(f"one_term_ok={report.one_term_ok}  four_term_ok={report.four_term_ok}", file=verdict)
         for v in report.violations:
-            print(f"violation: {v}")
+            print(f"violation: {v}", file=verdict)
     return 0 if report.one_term_ok and report.four_term_ok else 1
 
 
@@ -341,6 +342,8 @@ def cmd_verify(args, registry) -> int:
         failed = failed or not ok
     if args.format == "json":
         print(json.dumps({"suites": results}, sort_keys=True))
+    elif args.format == "csv":
+        _print_rows("csv", ["suite", "passed", "detail"], results, sys.stdout)
     else:
         for r in results:
             print(f"{'PASS' if r['passed'] else 'FAIL'} {r['suite']}: {r['detail']}")

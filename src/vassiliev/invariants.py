@@ -154,10 +154,10 @@ def v3_lannes(code: GaussCode) -> int:
     return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
 
 
-def _counter(file: str, name: str, doc: str, patterns_dir=Path(__file__).parent / "patterns") -> Callable[[GaussCode], int]:
+def _counter(file: str, name: str, doc: str, patterns_dir) -> Callable[[GaussCode], int]:
     """The evaluator ``name`` that counts one pattern file in the shared
-    arrow diagram.  The file is read once, here, from patterns_dir (by
-    default the package's), and the evaluator records it as ``pattern_file``."""
+    arrow diagram.  The file is read once, here, from patterns_dir, and
+    the evaluator records it as ``pattern_file``."""
     expression = load_pattern_file(Path(patterns_dir) / file)
 
     def count(code: GaussCode) -> int:
@@ -168,32 +168,32 @@ def _counter(file: str, name: str, doc: str, patterns_dir=Path(__file__).parent 
     return count
 
 
-v2_polyak_viro = _counter("v2.pat", "v2_polyak_viro", """Degree 2 invariant as the signed count of one based two-arrow
-    pattern.""")
-v3_polyak_viro = _counter("v3_pv.pat", "v3_polyak_viro", """Degree 3 invariant from two rotation-summed three-arrow patterns,
-    the second weighted 1/2.""")
-v3_theorem = _counter("v3_theorem.pat", "v3_theorem", """Degree 3 invariant as the plain sum of five based three-arrow
-    patterns with unit coefficients.""")
+def _registry(patterns_dir) -> Dict[str, tuple[int, Callable[[GaussCode], int]]]:
+    """Every method, name -> (degree, evaluator), each pattern file read
+    once from patterns_dir.  Names with a family suffix ("_lannes", "_pv",
+    "_thm") are the routes a report compares; the bare names are the
+    canonical evaluators, the same functions as the pattern count for v2
+    and the five-pattern sum for v3."""
+    v2_pv = _counter("v2.pat", "v2_polyak_viro", """Degree 2 invariant as the signed count of one based two-arrow
+    pattern.""", patterns_dir)
+    v3_pv = _counter("v3_pv.pat", "v3_polyak_viro", """Degree 3 invariant from two rotation-summed three-arrow patterns,
+    the second weighted 1/2.""", patterns_dir)
+    v3_thm = _counter("v3_theorem.pat", "v3_theorem", """Degree 3 invariant as the plain sum of five based three-arrow
+    patterns with unit coefficients.""", patterns_dir)
+    return {
+        "v2": (2, v2_pv),
+        "v3": (3, v3_thm),
+        "v2_lannes": (2, v2_lannes),
+        "v2_pv": (2, v2_pv),
+        "v3_lannes": (3, v3_lannes),
+        "v3_pv": (3, v3_pv),
+        "v3_thm": (3, v3_thm),
+    }
 
-# The canonical evaluators: the pattern count for v2, the five-pattern
-# sum for v3.  They are the same functions, so a registry that rebinds
-# a pattern method rebinds its canonical name with it.
-v2 = v2_polyak_viro
-v3 = v3_theorem
 
-
-# The only list of methods.  Names with a family suffix ("_lannes",
-# "_pv", "_thm") are the independent routes a report compares; the bare
-# names are the canonical evaluators.
-INVARIANTS: Dict[str, tuple[int, Callable[[GaussCode], int]]] = {
-    "v2": (2, v2),
-    "v3": (3, v3),
-    "v2_lannes": (2, v2_lannes),
-    "v2_pv": (2, v2_polyak_viro),
-    "v3_lannes": (3, v3_lannes),
-    "v3_pv": (3, v3_polyak_viro),
-    "v3_thm": (3, v3_theorem),
-}
+# The only list of methods; the public evaluators are its entries.
+INVARIANTS = _registry(Path(__file__).parent / "patterns")
+v2, v3, v2_polyak_viro, v3_polyak_viro, v3_theorem = (INVARIANTS[name][1] for name in ("v2", "v3", "v2_pv", "v3_pv", "v3_thm"))
 
 
 def family(name: str) -> str:
@@ -213,19 +213,11 @@ Registry = Mapping[str, tuple[int, Callable[[GaussCode], int]]]
 
 
 def methods(patterns_dir=None) -> Registry:
-    """The method registry, name -> (degree, evaluator).
-
-    Without a directory this is INVARIANTS itself.  With one, each of
-    PATTERN_FILES is read from it once, here, and every name whose
-    evaluator counts that file, v2 and v3 included, counts the loaded
-    copy instead.  A missing or malformed file raises before anything is
-    evaluated.
-    """
-    if patterns_dir is None:
-        return INVARIANTS
-    counted = {fn.pattern_file: fn for _, fn in INVARIANTS.values() if hasattr(fn, "pattern_file")}
-    loaded = {file: _counter(file, fn.__name__, fn.__doc__, patterns_dir) for file, fn in sorted(counted.items())}
-    return {name: (degree, loaded.get(getattr(fn, "pattern_file", None), fn)) for name, (degree, fn) in INVARIANTS.items()}
+    """The method registry, name -> (degree, evaluator): INVARIANTS itself,
+    or with a directory, the same registry with each of PATTERN_FILES read
+    from it once, here.  A missing or malformed file raises before
+    anything is evaluated."""
+    return INVARIANTS if patterns_dir is None else _registry(patterns_dir)
 
 
 class InvariantReport(NamedTuple):

@@ -14,10 +14,11 @@ coefficient.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
-from vassiliev import enumerate_chord_diagrams
-from vassiliev.diagrams import ChordDiagram, Pattern
+from vassiliev import enumerate_chord_diagrams, parse_pattern_file
+from vassiliev.diagrams import ChordDiagram, Pattern, PatternExpression
 
 
 def one_component_words(diagram: ChordDiagram, first: str = "h") -> list[str]:
@@ -40,3 +41,10 @@ def one_component_words(diagram: ChordDiagram, first: str = "h") -> list[str]:
 def conway_words(m: int, first: str = "h") -> list[str]:
     """The sorted words of every m-arrow diagram ``one_component_words`` keeps."""
     return sorted(w for d in enumerate_chord_diagrams(m) for w in one_component_words(d, first))
+
+
+@lru_cache(maxsize=None)
+def conway_file(m: int, first: str = "h") -> PatternExpression:
+    """The pattern file of ``conway_words(m, first)``, each word with
+    weight 1, parsed once per process so its kernel compiles once."""
+    return parse_pattern_file("".join(f"1 0 {w}\n" for w in conway_words(m, first)))

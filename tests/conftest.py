@@ -4,11 +4,21 @@ import pytest
 from hypothesis import settings
 
 from vassiliev import bundled_knot_table, parse_gauss_code
+from vassiliev.errors import VassilievError
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
+
+
+def outcome(call):
+    """What call() returns, or the type and message of the package error
+    it raises."""
+    try:
+        return call()
+    except VassilievError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.fixture(scope="session")

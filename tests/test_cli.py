@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -451,6 +452,19 @@ def test_weights_prints_every_violation_of_a_reference(capsys, monkeypatch):
     want = "".join(f"diagram={w}  value=1\n" for w in words) + "one_term_ok=False  four_term_ok=True\n"
     want += "".join(f"violation: 1T: {w} -> 1\n" for w in words if w not in connected)
     assert run(capsys, "weights", "--degree", "3") == (1, want, "")
+
+
+def test_weights_csv_keeps_the_verdict_and_violations_off_stdout(capsys, monkeypatch):
+    from vassiliev import weights
+
+    monkeypatch.setattr(weights, "w3", lambda d: 1)
+    code, out, err = run(capsys, "weights", "--degree", "3", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 1 and rows[0] == ["diagram", "value"] and len(rows) == 16
+    assert all(value == "1" for _, value in rows[1:])
+    lines = err.splitlines()
+    assert lines[0] == "one_term_ok=False  four_term_ok=True"
+    assert len(lines) == 12 and all(line.startswith("violation: 1T: ") for line in lines[1:])
 
 
 def test_relations_suite_fails_a_check_that_passes_the_constant_control(capsys, monkeypatch):

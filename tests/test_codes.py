@@ -40,7 +40,7 @@ from vassiliev.errors import (
 )
 from vassiliev.invariants import v2, v3
 
-from conftest import TREFOIL
+from conftest import TREFOIL, outcome
 
 ABAB = "O1+ U2+ U1+ O2+"  # one interleaved pair; no planar diagram has this code
 
@@ -355,6 +355,20 @@ def test_rotate_basepoint_composes(trefoil):
     assert rotate_basepoint(trefoil, 6) == trefoil
     assert rotate_basepoint(rotate_basepoint(trefoil, 2), 4) == trefoil
     assert format_code(rotate_basepoint(trefoil, 1)) == "U2+ O3+ U1+ O2+ U3+ O1+"
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda t: rotate_basepoint(GaussCode(), 5), GaussCode()),
+    (lambda t: apply_r1(t, 0, 2), (VassilievError, "sign must be +1 or -1, got 2")),
+    (lambda t: apply_r1(t, 0, 1, "X"), (VassilievError, "first_role must be O or U, got 'X'")),
+    (lambda t: is_realizable(GaussCode(t.passages[:-1])), (VassilievError, "odd number of passages")),
+    (lambda t: apply_r2(t, 7, 0, "case-1"), (IndexOutOfRange, "position 7 not in 0..6")),
+    (lambda t: parse_knot_table("[1]\n"), (ParseError, "line 1: record is not an object")),
+    (lambda t: parse_knot_table('{"name": "k", "gauss": "", "expected": [1]}\n'),
+     (ParseError, 'line 1: "expected" is not an object')),
+])
+def test_edge_cases_no_other_test_reaches(trefoil, call, want):
+    assert outcome(lambda: call(trefoil)) == want
 
 
 # -- Reidemeister moves -----------------------------------------------------

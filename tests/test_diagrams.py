@@ -36,7 +36,7 @@ from vassiliev.errors import (
     UnbalancedLabel,
 )
 
-from conftest import TREFOIL
+from conftest import TREFOIL, outcome
 
 
 # The reference counter the fast matcher is checked against: try every
@@ -457,3 +457,14 @@ def test_matcher_refuses_a_pattern_too_deep_to_compile():
         count_matches(parse_pattern(word), diagram)
     with pytest.raises(TooLarge, match=message):
         count_matches(parse_pattern_file(f"1 0 1h 2t 1t 2h\n1 1 {word}\n"), diagram)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: ChordDiagram(((0, 2),)), (UnbalancedLabel, "endpoint positions [0, 2] must be exactly 0..1")),
+    (lambda: Pattern(()).rotate(1), Pattern(())),
+    (lambda: parse_pattern(""), (MalformedToken, "empty pattern word")),
+    (lambda: parse_pattern_file("1 2 1h 1t\n"), (ParseError, "line 1: bracket flag must be 0 or 1, got '2'")),
+    (lambda: parse_pattern_file("1 0 1h 1h\n"), (ParseError, "line 1: arrow 1 has two h endpoints")),
+])
+def test_edge_cases_no_other_test_reaches(call, want):
+    assert outcome(call) == want

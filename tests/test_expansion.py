@@ -26,6 +26,7 @@ from vassiliev.errors import (
 from vassiliev.expansion import SolvedProbe, SolveReport
 
 from _braids import BRAID_WORDS, braid_closure, is_knot
+from conftest import outcome
 
 
 def test_bundled_expansions_load():
@@ -57,6 +58,14 @@ def test_parse_expansion_errors():
     assert parse_expansion(
         '{"degree": 2, "terms": [{"coeff": {"v2": 3, "v3": "0.1"}, "knot": "k"}]}'
     ).terms[0].coeff == {"v2": 3, "v3": Fraction(1, 10)}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"degree": 2, "terms": [1]}', "term 0 is not an object"),
+    ('{"degree": 2, "terms": [{"coeff": {"v2": 1}, "knot": ""}]}', "term 0 needs a nonempty 'knot' name"),
+])
+def test_edge_cases_no_other_test_reaches(text, message):
+    assert outcome(lambda: parse_expansion(text)) == (VassilievError, message)
 
 
 def test_degree_two_residuals_vanish(corpus):

@@ -43,7 +43,7 @@ from vassiliev.invariants import family
 from conftest import TREFOIL
 from test_codes import random_code
 from _braids import braid_closure, is_knot
-from _generators import conway_words
+from _generators import conway_file
 
 ALL_METHODS = (v2_lannes, v2_polyak_viro, v3_lannes, v3_polyak_viro, v3_theorem)
 ROUTES = tuple(name for name in INVARIANTS if family(name))
@@ -139,7 +139,7 @@ def test_braid_relations_leave_every_route_and_the_generated_c4_counts():
     # of random_perturbations: every route and both generated c4 counts keep
     # their values, while the lone based count of one three-arrow word,
     # which is no invariant, moves on some pair
-    files = [parse_pattern_file("".join(f"1 0 {w}\n" for w in conway_words(4, first))) for first in "ht"]
+    files = [conway_file(4, first) for first in "ht"]
     control = parse_pattern_file("1 0 1h 2t 3h 1t 2h 3t\n")
     pairs = braid_relation_pairs()
     assert len(pairs) >= 50
@@ -183,6 +183,19 @@ def test_patterns_dir_override(doubled_v2_dir, trefoil):
     assert registry["v3"][1](trefoil) == v3(trefoil)
     assert registry["v2_lannes"] == INVARIANTS["v2_lannes"]
     assert methods() is INVARIANTS
+
+
+def test_patterns_dir_of_the_package_rebuilds_the_registry(corpus):
+    # INVARIANTS and every --patterns-dir registry come from one builder
+    registry = methods(Path(invariants.__file__).parent / "patterns")
+    assert list(registry) == list(INVARIANTS)
+    for name, (degree, fn) in INVARIANTS.items():
+        other = registry[name][1]
+        assert registry[name][0] == degree
+        assert (other.__name__, other.__doc__) == (fn.__name__, fn.__doc__)
+        assert getattr(other, "pattern_file", None) == getattr(fn, "pattern_file", None)
+        assert [other(r.code) for r in corpus] == [fn(r.code) for r in corpus], name
+    assert registry["v2"][1] is registry["v2_pv"][1] and registry["v3"][1] is registry["v3_thm"][1]
 
 
 BUNDLED_PATTERNS = sorted(p.name for p in (Path(invariants.__file__).parent / "patterns").glob("*.pat"))

@@ -5,18 +5,18 @@ import random
 from importlib import resources
 
 from vassiliev import (
-    arrow_diagram_from_code, count_matches, enumerate_chord_diagrams, mirror, parse_pattern_file, v2, v2_lannes,
-    v2_polyak_viro, v3,
+    arrow_diagram_from_code, count_matches, enumerate_chord_diagrams, invariant_report, mirror, parse_pattern_file,
+    v2, v2_lannes, v2_polyak_viro, v3,
 )
 
 from _braids import BRAID_WORDS, braid_closure, is_knot, strand_count
-from _generators import conway_words, one_component_words
-from _oracles import alexander, burau_conway, conway, conway_symbol, jones, jones_moments
+from _generators import conway_file, conway_words, one_component_words
+from _oracles import alexander, burau_conway, conway, conway_symbol, jones, jones_moments, tl_jones
 
 
-def seeded_closures(count=20):
-    """Distinct knotted braid closures of 4 to 10 crossings on 3 or 4
-    strands, from a fixed seed."""
+def seeded_words(count=20):
+    """Distinct braid words of 4 to 10 letters on 3 or 4 strands whose
+    closures are knots, from a fixed seed."""
     rng = random.Random(17)
     words = set()
     while len(words) < count:
@@ -24,7 +24,12 @@ def seeded_closures(count=20):
         word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(4, 10)))
         if max(map(abs, word)) == strands - 1 and is_knot(list(word)):
             words.add(word)
-    return [braid_closure(list(word)) for word in sorted(words)]
+    return [list(word) for word in sorted(words)]
+
+
+def seeded_closures(count=20):
+    """The closures of ``seeded_words(count)``."""
+    return [braid_closure(word) for word in seeded_words(count)]
 
 
 def test_right_trefoil_jones_polynomial(trefoil):
@@ -117,10 +122,7 @@ def test_generated_words_count_the_conway_coefficients(corpus):
     codes += [braid_closure(word) for word in BRAID_WORDS.values()]
     codes += seeded_closures(40)
     assert len(codes) == 58
-    files = {
-        (m, first): parse_pattern_file("".join(f"1 0 {w}\n" for w in conway_words(m, first)))
-        for m in (2, 4) for first in "ht"
-    }
+    files = {(m, first): conway_file(m, first) for m in (2, 4) for first in "ht"}
     for code in codes:
         diagram = arrow_diagram_from_code(code)
         expected = {m: conway_coefficient(code, m // 2) for m in (2, 4)}
@@ -160,7 +162,7 @@ def test_burau_conway_is_the_wirtinger_conway():
 def test_burau_conway_gives_v2_and_the_generated_c4_counts_on_large_closures():
     # past the Wirtinger oracle's reach: closures of 20 to 161 crossings
     rng = random.Random(5)
-    files = [parse_pattern_file("".join(f"1 0 {w}\n" for w in conway_words(4, first))) for first in "ht"]
+    files = [conway_file(4, first) for first in "ht"]
     c4s = []
     for strands, lengths in ((3, (20, 40, 80, 160)), (4, (21, 41, 81, 161))):
         for length in lengths:
@@ -172,3 +174,28 @@ def test_burau_conway_gives_v2_and_the_generated_c4_counts_on_large_closures():
             assert [count_matches(f, diagram) for f in files] == [c4, c4], word
             c4s.append(c4)
     assert len(set(c4s)) > 2, c4s
+
+
+# -- the Jones polynomial from the Temperley-Lieb algebra ------------------------
+
+def test_temperley_lieb_jones_is_the_bracket_jones():
+    words = [*BRAID_WORDS.values(), *seeded_words()]
+    assert len(words) == 27
+    for word in words:
+        assert tl_jones(word, strand_count(word)) == jones_moments(braid_closure(word), 4), word
+
+
+def test_temperley_lieb_jones_gives_v2_and_v3_on_large_closures():
+    # past the bracket oracle's reach: closures of 20 to 80 crossings, where
+    # the h^2 and h^3 coefficients are -3 v2 and -6 v3 by every route
+    rng = random.Random(29)
+    v3s = []
+    for strands, lengths in ((3, (20, 40, 80)), (4, (21, 41))):
+        for length in lengths:
+            word = knotted_word(rng, strands, length)
+            h0, h1, h2, h3, _ = tl_jones(word, strands)
+            assert (h0, h1) == (1, 0), word
+            values = invariant_report(braid_closure(word)).values
+            assert values == {name: {"v2": -h2 / 3, "v3": -h3 / 6}[name[:2]] for name in values}, word
+            v3s.append(h3)
+    assert len(set(v3s)) > 2, v3s
