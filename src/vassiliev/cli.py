@@ -137,13 +137,6 @@ def _weight_system(args, registry):
     raise VassilievError(f"no bundled weight system of degree {args.degree}; use --invariant")
 
 
-def _relations(ws, reports: dict):
-    """check_relations of a reference, made once per verify run; reports keeps them by name."""
-    if ws.name not in reports:
-        reports[ws.name] = check_relations(ws)
-    return reports[ws.name]
-
-
 def cmd_weights(args, registry) -> int:
     ws = _weight_system(args, registry)
     rows = [{"diagram": chord_word(d), "value": _rat(value)} for d, value in ws.table.items()]
@@ -198,7 +191,7 @@ def cmd_expansion(args, registry) -> int:
     return 0 if report.consistent else 1
 
 
-def _suite_calibration(args, registry, references, reports):
+def _suite_calibration(args, registry, references, relations):
     # each column must give the bundled expected value of its invariant
     knots = {record.name: record for record in bundled_knot_table()}
     checks = 0
@@ -211,9 +204,9 @@ def _suite_calibration(args, registry, references, reports):
     return True, f"{checks} values"
 
 
-def _suite_relations(args, registry, references, reports):
-    for ws in references.values():
-        report = _relations(ws, reports)
+def _suite_relations(args, registry, references, relations):
+    for name, ws in references.items():
+        report = relations(name)
         if not (report.one_term_ok and report.four_term_ok):
             return False, f"{ws.name}: {report.violations[0]}"
     const = weight_system_from_function(lambda d: 1, 2, "const1")
@@ -223,7 +216,7 @@ def _suite_relations(args, registry, references, reports):
     return True, f"{', '.join(ws.name for ws in references.values())} pass; constant-1 control fails as it should"
 
 
-def _suite_weights(args, registry, references, reports):
+def _suite_weights(args, registry, references, relations):
     # each canonical invariant induces its reference weight system at its
     # own degree and vanishes at every higher degree that has a reference;
     # each degree's diagrams are realized once for all invariants due there
@@ -243,15 +236,15 @@ def _suite_weights(args, registry, references, reports):
     return True, f"{checks} diagrams"
 
 
-def _suite_4t(args, registry, references, reports):
-    for ws in (ws for ws in references.values() if ws.degree == args.degree):
-        report = _relations(ws, reports)
+def _suite_4t(args, registry, references, relations):
+    for name in (name for name, ws in references.items() if ws.degree == args.degree):
+        report = relations(name)
         if not report.four_term_ok:
             return False, next(v for v in report.violations if v.startswith("4T:"))
     return True, f"{len(four_term_quadruples(args.degree))} quadruples at degree {args.degree}"
 
 
-def _suite_expansion(args, registry, references, reports):
+def _suite_expansion(args, registry, references, relations):
     corpus = _corpus(args)
     for degree in (2, 3):
         expansion = bundled_expansion(degree)
@@ -270,7 +263,7 @@ def _suite_expansion(args, registry, references, reports):
     return True, "n=2 and n=3 residuals zero; solved v2=-1, v3=0 on the second basis knot"
 
 
-def _suite_invariance(args, registry, references, reports):
+def _suite_invariance(args, registry, references, relations):
     corpus = _corpus(args)
     if not corpus:
         raise VassilievError("the invariance suite needs at least one knot")
@@ -305,7 +298,7 @@ def _suite_invariance(args, registry, references, reports):
     return True, f"{checks} comparisons, {args.perturbations} perturbations, seed {args.seed}"
 
 
-def _suite_realization(args, registry, references, reports):
+def _suite_realization(args, registry, references, relations):
     diagrams = [d for degree in range(args.degree + 1) for d in enumerate_chord_diagrams(degree)]
     for d in diagrams:
         realize_chord_diagram(d)  # raises unless d's double points trace back to d
@@ -327,19 +320,17 @@ def cmd_verify(args, registry) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     # one table of the registry's references for every suite of this run
     references = {name: ws for name, ws in weight_systems().items() if name in registry}
-    reports: dict = {}  # and each reference's relation check, made once
+    relations = lru_cache(maxsize=None)(lambda name: check_relations(references[name]))  # each checked once
     # a --degree that a selected suite cannot take is refused before any suite runs
     degrees = sorted({ws.degree for ws in references.values()})
     if "4t" in names and args.degree not in degrees:
         raise VassilievError(f"the 4t suite needs --degree {' or '.join(map(str, degrees))}")
     if "realization" in names and args.degree > MAX_ENUM_DEGREE:
         raise TooLarge(f"the realization suite enumerates at most degree {MAX_ENUM_DEGREE}, got --degree {args.degree}")
-    failed = False
     results = []
     for name in names:
-        ok, detail = _SUITES[name](args, registry, references, reports)
+        ok, detail = _SUITES[name](args, registry, references, relations)
         results.append({"suite": name, "passed": ok, "detail": detail})
-        failed = failed or not ok
     if args.format == "json":
         print(json.dumps({"suites": results}, sort_keys=True))
     elif args.format == "csv":
@@ -347,7 +338,7 @@ def cmd_verify(args, registry) -> int:
     else:
         for r in results:
             print(f"{'PASS' if r['passed'] else 'FAIL'} {r['suite']}: {r['detail']}")
-    return 1 if failed else 0
+    return 0 if all(r["passed"] for r in results) else 1
 
 
 def _non_negative(text: str) -> int:

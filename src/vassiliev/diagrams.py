@@ -136,11 +136,7 @@ class Pattern:
 
     def distinct_rotations(self) -> tuple["Pattern", ...]:
         """One representative per distinct based rotation of this pattern."""
-        seen: dict[str, Pattern] = {}
-        for k in range(max(1, 2 * len(self.arrows))):
-            p = self.rotate(k)
-            seen.setdefault(p.word(), p)
-        return tuple(seen.values())
+        return tuple(dict.fromkeys([self.rotate(k) for k in range(max(1, 2 * len(self.arrows)))]))
 
 
 @dataclass(frozen=True)

@@ -159,25 +159,21 @@ def check_relations(w: WeightSystem) -> RelationReport:
     where the figure does not exist, and refused above its limit up front.
     """
     quads = four_term_quadruples(w.degree) if w.degree >= 2 else []
-    violations = []
-    one_ok = True
+    one_term, four_term = [], []
     for d in enumerate_chord_diagrams(w.degree):
         if any(_isolated(d, i) for i in range(d.degree)) and w.evaluate(d) != 0:
-            one_ok = False
-            violations.append(f"1T: {chord_word(d)} -> {w.evaluate(d)}")
-    four_ok = True
+            one_term.append(f"1T: {chord_word(d)} -> {w.evaluate(d)}")
     for q in quads:
         total = sum(
             s * w.evaluate(d) for s, d in zip(q.signs, q.diagrams)
         )
         if total != 0:
-            four_ok = False
-            violations.append(
+            four_term.append(
                 "4T: "
                 + " | ".join(chord_word(d) for d in q.diagrams)
                 + f" -> {total}"
             )
-    return RelationReport(one_ok, four_ok, tuple(violations))
+    return RelationReport(not one_term, not four_term, tuple(one_term + four_term))
 
 
 def resolve_singular(s: SingularCode) -> list[tuple[int, GaussCode]]:

@@ -9,11 +9,12 @@ with |v3| separating the ties.
 
 from fractions import Fraction
 
-from vassiliev import format_code, is_realizable, mirror, v2, v3, validate
+from vassiliev import arrow_diagram_from_code, count_matches, format_code, is_realizable, mirror, v2, v3, validate
 from vassiliev.codes import embedding_genus
 
-from _braids import BRAID_WORDS, braid_closure, closure_permutation, connected_sum, is_knot
-from _oracles import jones_moments
+from _braids import BRAID_WORDS, braid_closure, closure_permutation, connected_sum, is_knot, strand_count
+from _generators import conway_file
+from _oracles import conway, jones_moments, tl_jones
 
 from conftest import TREFOIL
 
@@ -22,6 +23,16 @@ A2 = {"3_1": 1, "4_1": -1, "5_1": 3, "5_2": 2, "6_1": -2, "6_2": -1, "6_3": 1}
 V3_MAGNITUDE = {"3_1": 1, "4_1": 0, "5_1": 5, "5_2": 3, "6_2": 1, "6_3": 0}
 # v3 where the table gives none, read off the Jones polynomial as -h^3 / 6
 V3_FROM_JONES = {"5_1": 5, "5_2": 3, "6_1": -1, "6_2": -1}
+# the degree-4 references on the bundled table, which knots.jsonl does not
+# carry: the Conway coefficient of z^4, and 4 h^4 of V(e^h)
+C4_FROM_CONWAY = {
+    "unknot": 0, "3_1": 0, "3_1m": 0, "4_1": 0, "5_1": 1, "5_2": 0,
+    "6_1": 0, "6_2": -1, "6_3": 1, "granny": 1, "square": 1,
+}
+FOUR_H4_FROM_JONES = {
+    "unknot": 0, "3_1": -29, "3_1m": -29, "4_1": 5, "5_1": -243, "5_2": -130,
+    "6_1": 34, "6_2": 41, "6_3": -17, "granny": -22, "square": -22,
+}
 
 
 def rebuild():
@@ -105,3 +116,27 @@ def test_composite_values_follow_additivity(corpus):
     values = {r.name: (v2(r.code), v3(r.code)) for r in corpus}
     assert values["granny"] == (2, 2)
     assert values["square"] == (2, 0)
+
+
+def test_degree_4_values_follow_the_conway_and_jones_oracles(corpus):
+    # the Wirtinger c4 and both generated c4 counts; the bracket's 4 h^4,
+    # and on the braid closures the Temperley-Lieb one
+    assert [r.name for r in corpus] == list(C4_FROM_CONWAY) == list(FOUR_H4_FROM_JONES)
+    files = [conway_file(4, first) for first in "ht"]
+    for record in corpus:
+        diagram = arrow_diagram_from_code(record.code)
+        c4s = [(conway(record.code) + [0, 0])[2], *(count_matches(f, diagram) for f in files)]
+        assert c4s == [C4_FROM_CONWAY[record.name]] * 3, record.name
+        assert 4 * jones_moments(record.code, 4)[4] == FOUR_H4_FROM_JONES[record.name], record.name
+    for name, word in BRAID_WORDS.items():
+        assert 4 * tl_jones(word, strand_count(word))[4] == FOUR_H4_FROM_JONES[name], name
+
+
+def test_degree_4_values_of_the_composites_follow_the_connected_sum_rule():
+    # Conway and Jones multiply under #: c4 gains c2(a) c2(b), and h^4
+    # gains h^2(a) h^2(b) = 9 v2(a) v2(b)
+    codes = rebuild()
+    for total, (a, b) in (("granny", ("3_1", "3_1")), ("square", ("3_1", "3_1m"))):
+        product = v2(codes[a]) * v2(codes[b])
+        assert C4_FROM_CONWAY[total] == C4_FROM_CONWAY[a] + C4_FROM_CONWAY[b] + product, total
+        assert FOUR_H4_FROM_JONES[total] == FOUR_H4_FROM_JONES[a] + FOUR_H4_FROM_JONES[b] + 36 * product, total

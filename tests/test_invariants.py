@@ -7,12 +7,16 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test
 
 from vassiliev import (
     INVARIANTS,
+    apply_r1,
+    apply_r2,
     arrow_diagram_from_code,
     bundled_expansion,
+    bundled_knot_table,
     check_expansion,
     chord_subdiagram,
     count_matches,
@@ -20,6 +24,7 @@ from vassiliev import (
     epsilon,
     format_code,
     invariant_report,
+    is_realizable,
     methods,
     mirror,
     parse_gauss_code,
@@ -151,6 +156,40 @@ def test_braid_relations_leave_every_route_and_the_generated_c4_counts():
         assert [count_matches(f, da) for f in files] == [count_matches(f, db) for f in files], (word, other)
         moved += count_matches(control, da) != count_matches(control, db)
     assert moved >= 1
+
+
+class MovesKeepTheKnot(RuleBasedStateMachine):
+    """Chains of curls, slides and nested R2 pairs from a bundled knot:
+    each code stays a plane diagram of that knot, so every route keeps
+    its value."""
+
+    @initialize(record=st.sampled_from([r for r in bundled_knot_table() if r.code.passages]))
+    def start(self, record):
+        self.code = record.code
+        self.want = invariant_report(record.code).values
+
+    @rule(data=st.data(), sign=st.sampled_from((1, -1)), role=st.sampled_from(("O", "U")))
+    def curl(self, data, sign, role):
+        self.code = apply_r1(self.code, data.draw(st.integers(0, len(self.code.passages))), sign, role)
+
+    @precondition(lambda self: self.code.r2_insertions)
+    @rule(data=st.data())
+    def slide(self, data):
+        self.code = apply_r2(self.code, *data.draw(st.sampled_from(self.code.r2_insertions)))
+
+    @rule(data=st.data(), case=st.sampled_from(("case-1", "case-2")))
+    def nest(self, data, case):
+        p = data.draw(st.integers(0, len(self.code.passages)))
+        self.code = apply_r2(self.code, p, p, case)
+
+    @invariant()
+    def same_knot(self):
+        assert is_realizable(self.code)
+        assert invariant_report(self.code).values == self.want
+
+
+def test_r1_and_r2_move_chains_keep_every_route():
+    run_state_machine_as_test(MovesKeepTheKnot, settings=settings(max_examples=25, stateful_step_count=10))
 
 
 def test_report_shape(trefoil):

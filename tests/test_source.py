@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import vassiliev
@@ -19,6 +20,18 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert len(files) >= 9 and found == []
+
+
+def test_package_parses_as_its_oldest_supported_python():
+    # pyproject.toml's requires-python is read with a regex, since tomllib
+    # needs 3.11; ast.parse then refuses syntax newer than that floor, such
+    # as except* under (3, 10)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups())
+    files = sorted(SOURCE.glob("*.py"))
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
+    assert len(files) >= 9
 
 
 def test_no_global_statements_in_the_package():
