@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .codes import (
@@ -30,9 +29,9 @@ from .codes import (
     random_perturbations,
     rotate_basepoint,
 )
-from .coordinates import coordinate_table
+from .coordinates import CrossingCoordinates, coordinate_table
 from .errors import NonPlanarCode, TooLarge, VassilievError, WrongDegree
-from .expansion import bundled_expansion, check_expansion, load_expansion, solve_basis_values
+from .expansion import ResidualRow, bundled_expansion, check_expansion, load_expansion, solve_basis_values
 from .invariants import INVARIANTS, PATTERN_FILES, canonical, family, invariant_report, methods
 from .weights import (
     MAX_ENUM_DEGREE,
@@ -47,8 +46,9 @@ from .weights import (
 )
 
 
-def _rat(value) -> str:
-    return str(Fraction(value))
+def _fields(record) -> dict:
+    """A named tuple's fields as a row, each value printed with str."""
+    return {f: str(v) for f, v in record._asdict().items()}
 
 
 def _print_rows(fmt: str, columns: list[str], rows: list[dict], out) -> None:
@@ -95,31 +95,19 @@ def cmd_compute(args, registry) -> int:
     # each family has at most one route per invariant, so --method F's report is consistent
     routes = {name: entry for name, entry in registry.items() if family(name) and args.method in ("all", family(name))}
     rows = []
-    all_consistent = True
     for record in _corpus(args):
         report = invariant_report(record.code, routes)
-        row = {"name": record.name, **{c: _rat(value) for c, value in report.values.items()}}
+        row = {"name": record.name, **{c: str(value) for c, value in report.values.items()}}
         if args.method == "all":
             row["consistent"] = "yes" if report.consistent else "no"
         rows.append(row)
-        all_consistent = all_consistent and report.consistent
     _print_rows(args.format, ["name", *routes] + (["consistent"] if args.method == "all" else []), rows, sys.stdout)
-    return 0 if all_consistent else 1
+    return 0 if all(row.get("consistent") != "no" for row in rows) else 1
 
 
 def cmd_coords(args, registry) -> int:
-    rows = []
-    for record in _corpus(args):
-        for entry in coordinate_table(record.code):
-            rows.append(
-                {
-                    "name": record.name,
-                    "label": entry.label,
-                    "delta": str(entry.delta),
-                    "epsilon": str(entry.epsilon),
-                }
-            )
-    _print_rows(args.format, ["name", "label", "delta", "epsilon"], rows, sys.stdout)
+    rows = [{"name": record.name, **_fields(entry)} for record in _corpus(args) for entry in coordinate_table(record.code)]
+    _print_rows(args.format, ["name", *CrossingCoordinates._fields], rows, sys.stdout)
     return 0
 
 
@@ -139,16 +127,10 @@ def _weight_system(args, registry):
 
 def cmd_weights(args, registry) -> int:
     ws = _weight_system(args, registry)
-    rows = [{"diagram": chord_word(d), "value": _rat(value)} for d, value in ws.table.items()]
+    rows = [{"diagram": chord_word(d), "value": str(value)} for d, value in ws.table.items()]
     report = check_relations(ws)
     if args.format == "json":
-        doc = {
-            "rows": rows,
-            "one_term_ok": report.one_term_ok,
-            "four_term_ok": report.four_term_ok,
-            "violations": list(report.violations),
-        }
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps({"rows": rows, **report._asdict()}, sort_keys=True))
     else:
         _print_rows(args.format, ["diagram", "value"], rows, sys.stdout)
         verdict = sys.stderr if args.format == "csv" else sys.stdout  # csv keeps stdout one table
@@ -167,11 +149,7 @@ def cmd_expansion(args, registry) -> int:
     names = _probe_names(registry, expansion.degree)
     if args.action == "check":
         report = check_expansion(expansion, names, corpus, registry)
-        rows = [
-            {"probe": r.probe, "knot": r.knot, "residual": _rat(r.residual)}
-            for r in report.rows
-        ]
-        _print_rows(args.format, ["probe", "knot", "residual"], rows, sys.stdout)
+        _print_rows(args.format, list(ResidualRow._fields), [_fields(r) for r in report.rows], sys.stdout)
         return 0 if report.all_zero else 1
     report = solve_basis_values(expansion, names, corpus, registry)
     rows = []
@@ -185,7 +163,7 @@ def cmd_expansion(args, registry) -> int:
         for knot in sorted(solved.values):
             rows.append(
                 {"probe": solved.probe, "knot": knot,
-                 "value": _rat(solved.values[knot]), "certificate": ""}
+                 "value": str(solved.values[knot]), "certificate": ""}
             )
     _print_rows(args.format, ["probe", "knot", "value", "certificate"], rows, sys.stdout)
     return 0 if report.consistent else 1
@@ -252,7 +230,7 @@ def _suite_expansion(args, registry, references, relations):
         if not report.all_zero:
             bad = next(r for r in report.rows if r.residual != 0)
             return False, f"n={degree} residual {bad.residual} at ({bad.probe}, {bad.knot})"
-    solved = solve_basis_values(bundled_expansion(3), _probe_names(registry, 3), corpus, registry)
+    solved = solve_basis_values(expansion, _probe_names(registry, 3), corpus, registry)  # the n=3 expansion
     values = {p.probe: dict(p.values) for p in solved.probes}
     if not solved.consistent:
         return False, "basis solve reported inconsistency"
@@ -260,7 +238,8 @@ def _suite_expansion(args, registry, references, relations):
     expected = {record.name: record.expected for record in bundled_knot_table()}
     if any(value != expected[knot].get(probe) for probe, known in values.items() for knot, value in known.items()):
         return False, f"basis solve gave {values}"
-    return True, "n=2 and n=3 residuals zero; solved v2=-1, v3=0 on the second basis knot"
+    at_second = ", ".join(f"{probe}={known[expansion.terms[1].knot]}" for probe, known in values.items())
+    return True, f"n=2 and n=3 residuals zero; solved {at_second} on the second basis knot"
 
 
 def _suite_invariance(args, registry, references, relations):
@@ -342,7 +321,7 @@ def cmd_verify(args, registry) -> int:
 
 
 def _non_negative(text: str) -> int:
-    """verify's --perturbations and --degree: an integer, at least 0."""
+    """--perturbations and every --degree but expansion's: an integer, at least 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -386,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coords, patterns_dir=None)
 
     p = sub.add_parser("weights", help="weight system values on all diagrams of a degree")
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=_non_negative, default=3)
     p.add_argument("--invariant", choices=list(INVARIANTS), help="derive the weight system from this invariant")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     add_patterns(p)

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +154,17 @@ def test_patterns_dir_reaches_canonical_weights(capsys, doubled_v2_dir):
     )
     assert code == 0
     assert "diagram=1 2 1 2  value=2" in out
+
+
+def test_compute_exits_one_when_the_methods_disagree(capsys, doubled_v2_dir):
+    # doubling v2.pat doubles v2_pv, so only the unknot, where v2 is 0,
+    # stays consistent; --method pv compares no two routes and exits 0
+    code, out, _ = run(capsys, "compute", "--format", "csv", "--patterns-dir", str(doubled_v2_dir))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 1 and len(rows) == len(vassiliev.bundled_knot_table())
+    assert [row["consistent"] for row in rows] == ["yes" if row["name"] == "unknot" else "no" for row in rows]
+    code, out, _ = run(capsys, "compute", "--method", "pv", "--patterns-dir", str(doubled_v2_dir))
+    assert code == 0 and "consistent" not in out
 
 
 def test_patterns_dir_reaches_expansion(capsys, doubled_v2_dir):
@@ -551,6 +564,23 @@ def test_verify_expansion_wants_the_bundled_expected_values(capsys, monkeypatch)
     assert code == 1 and out.startswith("FAIL expansion: basis solve gave ")
 
 
+def test_verify_expansion_reports_the_values_solved_on_the_second_basis_knot(capsys, monkeypatch):
+    # with the terms reversed 3_1 is the second basis knot
+    import dataclasses
+    from vassiliev import cli
+
+    build = cli.bundled_expansion
+
+    def reversed_terms(degree):
+        expansion = build(degree)
+        return dataclasses.replace(expansion, terms=expansion.terms[::-1]) if degree == 3 else expansion
+
+    monkeypatch.setattr(cli, "bundled_expansion", reversed_terms)
+    assert run(capsys, "verify", "--suite", "expansion") == (
+        0, "PASS expansion: n=2 and n=3 residuals zero; solved v2=1, v3=1 on the second basis knot\n", "",
+    )
+
+
 def test_verify_invariance_refuses_an_empty_table(capsys, tmp_path):
     table = tmp_path / "empty.jsonl"
     table.write_text("")
@@ -653,6 +683,33 @@ def test_weights_json(capsys):
     assert {r["diagram"]: r["value"] for r in doc["rows"]}["1 2 1 2"] == "1"
 
 
+def test_weights_json_prints_the_relation_report_whole(capsys, monkeypatch):
+    # a w3 that is 1 on the diagram of three isolated chords breaks 1T
+    # there and 4T on the four quadruples that hold it
+    from vassiliev import weights
+
+    monkeypatch.setattr(weights, "w3", lambda d: int(weights.chord_word(d) == "1 1 2 2 3 3"))
+    words = [weights.chord_word(d) for d in weights.enumerate_chord_diagrams(3)]
+    rows = ", ".join(f'{{"diagram": "{w}", "value": "{int(w == "1 1 2 2 3 3")}"}}' for w in words)
+    violations = (
+        '"1T: 1 1 2 2 3 3 -> 1", '
+        '"4T: 1 2 2 1 3 3 | 1 2 1 2 3 3 | 1 2 1 2 3 3 | 1 1 2 2 3 3 -> -1", '
+        '"4T: 1 1 2 2 3 3 | 1 2 1 2 3 3 | 1 2 1 2 3 3 | 1 2 2 1 3 3 -> 1", '
+        '"4T: 1 1 2 3 3 2 | 1 1 2 3 2 3 | 1 1 2 3 2 3 | 1 1 2 2 3 3 -> -1", '
+        '"4T: 1 1 2 2 3 3 | 1 1 2 3 2 3 | 1 1 2 3 2 3 | 1 1 2 3 3 2 -> 1"'
+    )
+    want = f'{{"four_term_ok": false, "one_term_ok": false, "rows": [{rows}], "violations": [{violations}]}}\n'
+    assert run(capsys, "weights", "--degree", "3", "--format", "json") == (1, want, "")
+
+
+def test_weights_refuses_a_negative_degree(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["weights", "--degree", "-2"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "non-negative" in captured.err
+
+
 # -- expansion ---------------------------------------------------------------------
 
 def test_expansion_check(capsys):
@@ -725,6 +782,23 @@ def test_expansion_malformed_file(capsys, tmp_path):
     doc.write_text("{")
     code, _, err = run(capsys, "expansion", "check", "--file", str(doc))
     assert code == 2
+
+
+# -- README ------------------------------------------------------------------------
+
+def readme_examples():
+    """(command, output) for each ```sh block of README.md that starts
+    with "$ vassiliev": the lines under the command are its stdout."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    return [block.split("\n", 1) for block in blocks if block.startswith("$ vassiliev ")]
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    examples = readme_examples()
+    assert examples
+    for command, shown in examples:
+        assert run(capsys, *shlex.split(command)[2:]) == (0, shown, ""), command
 
 
 # -- determinism --------------------------------------------------------------------
