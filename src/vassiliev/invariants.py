@@ -70,20 +70,19 @@ def _table(code: GaussCode) -> tuple[tuple[str, ...], int, int, int, list[int]]:
 def v2_lannes(code: GaussCode) -> int:
     """Degree 2 invariant as a coordinate sum over crossing pairs: a pair
     with dx != dy contributes -w2 * ex * ey, any other pair nothing."""
-    # As in v3_lannes, a class with a nonzero count is weighed on its first pair.
+    # By the one-term relation a weight system is 0 on a diagram with an
+    # isolated chord, so only crossed pairs count; as in v3_lannes, their
+    # class is weighed once, on its first pair.
     labels, over, under, positive, rows = _shared(code, _table)
-    counts, members = [0, 0], [None, None]  # pairs (x, y) that do not cross, and that do
+    count, member = 0, None
     for x in range(len(labels)):
         if over >> x & 1:
             good = ~positive if positive >> x & 1 else positive  # y with -ex * ey = 1
-            for crossed, ys in enumerate((under & ~rows[x], under & rows[x])):
-                counts[crossed] += 2 * (ys & good).bit_count() - ys.bit_count()
-                if members[crossed] is None and ys:
-                    members[crossed] = x, (ys & -ys).bit_length() - 1
-    total = 0
-    for crossed in (1, 0):
-        if counts[crossed]:
-            total += counts[crossed] * w2(chord_subdiagram(code, [labels[i] for i in members[crossed]]))
+            ys = under & rows[x]
+            count += 2 * (ys & good).bit_count() - ys.bit_count()
+            if member is None and ys:
+                member = x, (ys & -ys).bit_length() - 1
+    total = count * w2(chord_subdiagram(code, [labels[i] for i in member])) if count else 0
     return _integral(Fraction(V2_SIGN * total, 2), "half the pair sum")
 
 
@@ -108,13 +107,13 @@ def v3_lannes(code: GaussCode) -> int:
     others nothing."""
     # Each triple is read in first-passage order, so y lies between x and z;
     # tests/test_invariants.py rejects the two readings over all six orders.
-    # The weight depends only on which of xz, xy and yz cross.  Per pair (x, z),
-    # with ys between them, four signed counts are summed by whether xz crosses:
-    # a = ys in rows x and z, b = ys in row x, c = ys in row z, d = ys, in units
-    # of -ex * ey * ez.  Inclusion-exclusion gives each class's count, and a
-    # nonzero one is weighed once, on its first triple.
+    # The weight depends only on which of xz, xy and yz cross, and by the
+    # one-term relation it is 0 unless every chord crosses another.  Per pair
+    # (x, z), with ys between them, signed counts in units of -ex * ey * ez are
+    # summed: a = ys in rows x and z, and where xz crosses, b = ys in row x and
+    # c = ys in row z.  Each nonzero class is weighed once, on its first triple.
     labels, over, under, positive, rows = _shared(code, _table)
-    a0 = b0 = c0 = d0 = a1 = b1 = c1 = d1 = 0  # over pairs (x, z) that do not cross, and that do
+    a0 = a1 = b1 = c1 = 0  # a over pairs (x, z) that do not cross; a, b, c over those that do
     for x in range(len(labels)):
         dx = over >> x & 1
         later = -(2 << x)
@@ -127,30 +126,21 @@ def v3_lannes(code: GaussCode) -> int:
             z = bit.bit_length() - 1
             good = ~positive if positive >> z & 1 == ex else positive  # y with -ex * ey * ez = 1
             rz = rows[z]
-            ys = pool & (bit - 1)
             ysx = near & (bit - 1)
             m = ysx & rz
             a = 2 * (m & good).bit_count() - m.bit_count()
-            b = 2 * (ysx & good).bit_count() - ysx.bit_count()
-            m = ys & rz
-            c = 2 * (m & good).bit_count() - m.bit_count()
-            d = 2 * (ys & good).bit_count() - ys.bit_count()
             if rx & bit:
                 a1 += a
-                b1 += b
-                c1 += c
-                d1 += d
+                b1 += 2 * (ysx & good).bit_count() - ysx.bit_count()
+                m = pool & (bit - 1) & rz
+                c1 += 2 * (m & good).bit_count() - m.bit_count()
             else:
                 a0 += a
-                b0 += b
-                c0 += c
-                d0 += d
     total = 0
-    for xz, (a, b, c, d) in ((1, (a1, b1, c1, d1)), (0, (a0, b0, c0, d0))):
-        for xy, yz, count in ((1, 1, a), (1, 0, b - a), (0, 1, c - a), (0, 0, d - b - c + a)):
-            if count:
-                member = next(_triples(over, under, rows, xz, xy, yz))
-                total += count * w3(chord_subdiagram(code, [labels[i] for i in member]))
+    for xz, xy, yz, count in ((1, 1, 1, a1), (1, 1, 0, b1 - a1), (1, 0, 1, c1 - a1), (0, 1, 1, a0)):
+        if count:
+            member = next(_triples(over, under, rows, xz, xy, yz))
+            total += count * w3(chord_subdiagram(code, [labels[i] for i in member]))
     return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
 
 

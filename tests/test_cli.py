@@ -564,6 +564,21 @@ def test_verify_expansion_wants_the_bundled_expected_values(capsys, monkeypatch)
     assert code == 1 and out.startswith("FAIL expansion: basis solve gave ")
 
 
+def test_verify_expansion_fails_on_an_inconsistent_basis_solve(capsys, monkeypatch):
+    from vassiliev import cli
+
+    solve = cli.solve_basis_values
+
+    def inconsistent(*args):
+        report = solve(*args)
+        return report._replace(probes=(report.probes[0]._replace(consistent=False), *report.probes[1:]))
+
+    monkeypatch.setattr(cli, "solve_basis_values", inconsistent)
+    assert run(capsys, "verify", "--suite", "expansion") == (
+        1, "FAIL expansion: basis solve reported inconsistency\n", "",
+    )
+
+
 def test_verify_expansion_reports_the_values_solved_on_the_second_basis_knot(capsys, monkeypatch):
     # with the terms reversed 3_1 is the second basis knot
     import dataclasses

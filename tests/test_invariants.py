@@ -41,7 +41,7 @@ from vassiliev import (
     w2,
     w3,
 )
-from vassiliev import invariants
+from vassiliev import invariants, weights
 from vassiliev.errors import NonIntegerResult, UnknownInvariant
 from vassiliev.invariants import family
 
@@ -499,7 +499,7 @@ def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
         assert all(dl[x] != dl[y] for x, y in pairs)
         assert all(dl[x] == dl[z] != dl[y] for x, y, z in triples)
         # and each class of tuples with the same chords crossing only once
-        assert 1 <= len(pairs) <= 2 and 1 <= len(triples) <= 8
+        assert len(pairs) == 1 and 1 <= len(triples) <= 4
 
         def crosses(p, q):
             (a1, a2), (b1, b2) = code.positions(p), code.positions(q)
@@ -508,6 +508,19 @@ def test_lannes_sums_weigh_only_contributing_tuples(monkeypatch):
         pair_classes = {crosses(x, y) for x, y in pairs}
         triple_classes = {(crosses(x, z), crosses(x, y), crosses(y, z)) for x, y, z in triples}
         assert len(pair_classes) == len(pairs) and len(triple_classes) == len(triples)
+        # no class with an isolated chord is weighed: every pair crosses, and
+        # in every triple at least two of the three pairs cross
+        assert pair_classes == {True}
+        assert all(sum(flags) >= 2 for flags in triple_classes)
+
+
+def test_weight_systems_vanish_exactly_where_a_chord_is_isolated():
+    # the Lannes sums skip the classes with an isolated chord: w2 and w3 are 0
+    # on every diagram that has one, and nonzero on every diagram that has none
+    for degree, w in ((2, w2), (3, w3)):
+        for d in weights.enumerate_chord_diagrams(degree):
+            isolated = any(weights._isolated(d, i) for i in range(degree))
+            assert (w(d) == 0) == isolated, weights.chord_word(d)
 
 
 def test_report_builds_the_shared_diagram_in_its_first_reader(monkeypatch, trefoil):
