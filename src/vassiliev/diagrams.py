@@ -9,7 +9,8 @@ based invariant evaluators.  A whole pattern file is counted in one
 walk: its based patterns form a prefix trie whose steps name each gap
 by the slot of an endpoint already placed (the start, the end, or the
 tail or head of an earlier arrow), so patterns with equal first arrows
-share those levels, and integer weights make one ``Fraction`` per file.
+share those levels, and integer weights make one integer sum per file,
+which the caller divides by the file's denominator.
 
 Pattern files hold one term per line, ``<coeff> <bracket> <word>``:
 coeff is a rational like ``1`` or ``-1/2``; bracket is ``0`` for a
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -53,12 +54,10 @@ class Arrow(NamedTuple):
     sign: int
 
 
-def _check_positions(pairs: Iterable[tuple[int, int]]) -> None:
-    flat = [p for pair in pairs for p in pair]
-    if sorted(flat) != list(range(len(flat))):
-        raise UnbalancedLabel(
-            f"endpoint positions {sorted(flat)} must be exactly 0..{len(flat) - 1}"
-        )
+def _check_positions(pairs: Iterable[Iterable[int]]) -> None:
+    flat = sorted(chain.from_iterable(pairs))
+    if flat != list(range(len(flat))):
+        raise UnbalancedLabel(f"endpoint positions {flat} must be exactly 0..{len(flat) - 1}")
 
 
 def _ends(arrows: Sequence[tuple[int, int]]) -> list[tuple[int, str]]:
@@ -69,38 +68,54 @@ def _ends(arrows: Sequence[tuple[int, int]]) -> list[tuple[int, str]]:
     return at
 
 
-@dataclass(frozen=True)
 class ArrowDiagram:
     """Arrows on 2n based circle positions, every position used once, kept
-    in the order given: ``masks`` numbers them by it, and no count depends on it."""
+    in the order given: ``masks`` numbers them by it, and no count depends
+    on it.  Only ``masks``, the matcher's kernel arguments, is kept, built
+    with the diagram.  As bitmasks over the arrows: per position p in
+    0..2n, the arrows with tail, and with head, before p, so the arrows
+    with tail strictly between positions a and b are tails[b] ^
+    tails[a + 1]; the forward arrows; the +1 arrows.  Then per arrow its
+    tail, its head and its sign, which ``arrows`` reads back."""
 
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("masks",)
 
-    def __post_init__(self):
-        _check_positions((a.tail, a.head) for a in self.arrows)
+    def __init__(self, arrows: Iterable[tuple[int, int, int]]):
+        tail_of, head_of, sign_of = [], [], []
+        for tail, head, sign in arrows:
+            tail_of.append(tail)
+            head_of.append(head)
+            sign_of.append(sign)
+        _check_positions((tail_of, head_of))
+        tail_at, head_at = [0] * (2 * len(tail_of)), [0] * (2 * len(tail_of))
+        forward = positive = 0
+        for d in range(len(tail_of)):
+            bit, tail, head = 1 << d, tail_of[d], head_of[d]
+            tail_at[tail] = head_at[head] = bit
+            if tail < head:
+                forward |= bit
+            if sign_of[d] > 0:
+                positive |= bit
+        # one bit per position, so the running sums are the running unions
+        self.masks = (list(accumulate(tail_at, initial=0)), list(accumulate(head_at, initial=0)), forward, positive,
+                      tail_of, head_of, sign_of)
+
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        return tuple(map(Arrow, *self.masks[4:]))
 
     @property
     def degree(self) -> int:
-        return len(self.arrows)
+        return len(self.masks[4])
 
-    @cached_property
-    def masks(self) -> tuple[list[int], list[int], int, int, list[int], list[int], list[int]]:
-        """The matcher's kernel arguments.  As bitmasks over the arrows: per
-        position p in 0..2n, the arrows with tail, and with head, before p,
-        so the arrows with tail strictly between positions a and b are
-        tails[b] ^ tails[a + 1]; the forward arrows; the +1 arrows.  Then
-        per arrow its tail, its head and its sign."""
-        tail_at, head_at = [0] * (2 * self.degree), [0] * (2 * self.degree)
-        tail_of, head_of, sign_of = [0] * self.degree, [0] * self.degree, [0] * self.degree
-        forward = positive = 0
-        for d, (tail, head, sign) in enumerate(self.arrows):
-            tail_at[tail] = head_at[head] = 1 << d
-            forward |= (tail < head) << d
-            positive |= (sign > 0) << d
-            tail_of[d], head_of[d], sign_of[d] = tail, head, sign
-        # one bit per position, so the running sums are the running unions
-        return (list(accumulate(tail_at, initial=0)), list(accumulate(head_at, initial=0)), forward, positive,
-                tail_of, head_of, sign_of)
+    def __eq__(self, other):
+        return self.masks[4:] == other.masks[4:] if isinstance(other, ArrowDiagram) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(map(tuple, self.masks[4:])))
+
+    def __repr__(self):
+        return f"ArrowDiagram({self.arrows!r})"
 
 
 @dataclass(frozen=True)
@@ -161,7 +176,7 @@ class ChordDiagram:
 def arrow_diagram_from_code(code: Union[GaussCode, SingularCode]) -> ArrowDiagram:
     """Arrow diagram of a code: an arrow from over to under, with its sign,
     per pair of ``code.pairs()``, so a double point is its positive resolution."""
-    return ArrowDiagram(tuple([Arrow(over, under, sign) for _, over, under, sign in code.pairs()]))
+    return ArrowDiagram((over, under, sign) for _, over, under, sign in code.pairs())
 
 
 def chord_diagram(source: Union[GaussCode, SingularCode, ArrowDiagram]) -> ChordDiagram:

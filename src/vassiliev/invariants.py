@@ -21,7 +21,7 @@ from .coordinates import delta, epsilon
 from .diagrams import (
     arrow_diagram_from_code,
     chord_subdiagram,
-    evaluate_expression,
+    count_matches,
     load_pattern_file,
 )
 from .errors import NonIntegerResult
@@ -35,10 +35,11 @@ V2_SIGN = -1
 V3_SIGN = -1
 
 
-def _integral(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerResult(f"{what} evaluated to {value}")
-    return int(value)
+def _integral(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise NonIntegerResult(f"{what} evaluated to {Fraction(numerator, denominator)}")
+    return quotient
 
 
 def _shared(code: GaussCode, build: Callable):
@@ -83,7 +84,7 @@ def v2_lannes(code: GaussCode) -> int:
             if member is None and ys:
                 member = x, (ys & -ys).bit_length() - 1
     total = count * w2(chord_subdiagram(code, [labels[i] for i in member])) if count else 0
-    return _integral(Fraction(V2_SIGN * total, 2), "half the pair sum")
+    return _integral(V2_SIGN * total, 2, "half the pair sum")
 
 
 def _triples(over: int, under: int, rows: list[int], xz: int, xy: int, yz: int):
@@ -141,7 +142,7 @@ def v3_lannes(code: GaussCode) -> int:
         if count:
             member = next(_triples(over, under, rows, xz, xy, yz))
             total += count * w3(chord_subdiagram(code, [labels[i] for i in member]))
-    return _integral(Fraction(V3_SIGN * total, 2), "the triple sum")
+    return _integral(V3_SIGN * total, 2, "the triple sum")
 
 
 def _counter(file: str, name: str, doc: str, patterns_dir) -> Callable[[GaussCode], int]:
@@ -151,7 +152,8 @@ def _counter(file: str, name: str, doc: str, patterns_dir) -> Callable[[GaussCod
     expression = load_pattern_file(Path(patterns_dir) / file)
 
     def count(code: GaussCode) -> int:
-        return _integral(evaluate_expression(expression, _shared(code, arrow_diagram_from_code)), f"the {file} count")
+        return _integral(count_matches(expression, _shared(code, arrow_diagram_from_code)), expression.denominator,
+                         f"the {file} count")
 
     count.__name__ = count.__qualname__ = name
     count.__doc__, count.pattern_file = doc, file

@@ -210,6 +210,13 @@ def test_patterns_dir_refuses_a_pattern_too_deep_to_compile(capsys, doubled_v2_d
     )
 
 
+def test_patterns_dir_count_that_is_not_an_integer_is_refused(capsys, doubled_v2_dir):
+    (doubled_v2_dir / "v2.pat").write_text("1/2 0 1h 2t 1t 2h\n")
+    assert run(capsys, "compute", "--code", TREFOIL, "--patterns-dir", str(doubled_v2_dir)) == (
+        2, "", "error: the v2.pat count evaluated to 1/2\n",
+    )
+
+
 def test_coords_has_no_patterns_dir(capsys, doubled_v2_dir):
     with pytest.raises(SystemExit) as err:
         main(["coords", "--patterns-dir", str(doubled_v2_dir)])

@@ -63,7 +63,7 @@ def oracle_count(pattern: Pattern, diagram: ArrowDiagram) -> int:
     return total
 
 
-def random_diagram(rng, max_arrows=8, min_arrows=0) -> ArrowDiagram:
+def random_arrows(rng, max_arrows=8, min_arrows=0) -> list[Arrow]:
     n = rng.randint(min_arrows, max_arrows)
     slots = list(range(2 * n))
     rng.shuffle(slots)
@@ -73,7 +73,11 @@ def random_diagram(rng, max_arrows=8, min_arrows=0) -> ArrowDiagram:
         if rng.random() < 0.5:
             a, b = b, a
         arrows.append(Arrow(a, b, rng.choice((1, -1))))
-    return ArrowDiagram(tuple(arrows))
+    return arrows
+
+
+def random_diagram(rng, max_arrows=8, min_arrows=0) -> ArrowDiagram:
+    return ArrowDiagram(random_arrows(rng, max_arrows, min_arrows))
 
 
 def random_pattern(rng, max_arrows=4, min_arrows=1) -> Pattern:
@@ -126,23 +130,23 @@ def test_singular_code_arrows():
 
 # ArrowDiagram.masks as first written, kept as the oracle: the endpoint
 # at each position, then one generator pass per mask, then each arrow's
-# tail, head and sign.
-def oracle_masks(diagram: ArrowDiagram):
-    at: list = [None] * (2 * len(diagram.arrows))
-    for i, a in enumerate(diagram.arrows):
+# tail, head and sign.  It reads the arrows a test built, not the
+# diagram, whose arrows are read back out of its masks.
+def oracle_masks(arrows: list[Arrow]):
+    at: list = [None] * (2 * len(arrows))
+    for i, a in enumerate(arrows):
         at[a.tail], at[a.head] = (i, "t"), (i, "h")
     tails = list(itertools.accumulate(((kind == "t") << d for d, kind in at), or_, initial=0))
     heads = list(itertools.accumulate(((kind == "h") << d for d, kind in at), or_, initial=0))
-    forward = sum((a.tail < a.head) << d for d, a in enumerate(diagram.arrows))
-    positive = sum((a.sign > 0) << d for d, a in enumerate(diagram.arrows))
-    return (tails, heads, forward, positive,
-            [a.tail for a in diagram.arrows], [a.head for a in diagram.arrows], [a.sign for a in diagram.arrows])
+    forward = sum((a.tail < a.head) << d for d, a in enumerate(arrows))
+    positive = sum((a.sign > 0) << d for d, a in enumerate(arrows))
+    return (tails, heads, forward, positive, [a.tail for a in arrows], [a.head for a in arrows], [a.sign for a in arrows])
 
 
 @given(st.integers(0, 10 ** 6))
 def test_masks_agree_with_oracle_property(seed):
-    diagram = random_diagram(random.Random(seed), max_arrows=12)
-    assert diagram.masks == oracle_masks(diagram)
+    arrows = random_arrows(random.Random(seed), max_arrows=12)
+    assert ArrowDiagram(arrows).masks == oracle_masks(arrows)
 
 
 @given(st.integers(0, 10 ** 6), st.data())
@@ -150,17 +154,55 @@ def test_masks_and_counts_ignore_arrow_order_property(seed, data):
     from fractions import Fraction
 
     rng = random.Random(seed)
-    diagram = random_diagram(rng, max_arrows=6)
-    order = data.draw(st.permutations(range(diagram.degree)))
-    shuffled = ArrowDiagram(tuple(diagram.arrows[i] for i in order))
-    assert shuffled.arrows == tuple(diagram.arrows[i] for i in order)  # kept as given
-    assert shuffled.masks == oracle_masks(shuffled)
+    arrows = random_arrows(rng, max_arrows=6)
+    diagram = ArrowDiagram(arrows)
+    order = data.draw(st.permutations(range(len(arrows))))
+    reordered = tuple([arrows[i] for i in order])
+    shuffled = ArrowDiagram(reordered)
+    assert shuffled.arrows == reordered  # kept as given
+    assert shuffled.masks == oracle_masks(reordered)
     terms = tuple(
         PatternTerm(Fraction(rng.choice((1, -1, 2))), rng.random() < 0.3, rng.choice(SMALL_PATTERNS))
         for _ in range(rng.randint(1, 6))
     )
     expression = PatternExpression(terms)
     assert count_matches(expression, shuffled) == count_matches(expression, diagram)
+
+
+def test_arrow_diagram_contract():
+    triples = [(0, 3, 1), (4, 1, -1), (2, 5, 1)]
+    diagram = ArrowDiagram(triples)
+    same = ArrowDiagram(Arrow(*t) for t in triples)
+    assert diagram == same and hash(diagram) == hash(same)
+    assert diagram != ArrowDiagram(triples[::-1])
+    assert all(type(a) is Arrow for a in diagram.arrows) and diagram.arrows == tuple(triples)
+    assert diagram.degree == 3
+    empty = ArrowDiagram(())
+    assert (empty.degree, empty.masks) == (0, ([0], [0], 0, 0, [], [], []))
+    for bad in ([(0, -1, 1)], [(0, 2, 1)], [(0, 0, 1)]):
+        with pytest.raises(UnbalancedLabel):
+            ArrowDiagram(bad)
+
+
+@pytest.mark.parametrize("argv", [["compute", "--format", "json"], ["weights", "--degree", "3", "--invariant", "v3"]])
+def test_commands_build_no_arrow_per_arrow(argv, capsys, monkeypatch):
+    # every route reads a diagram's masks, built straight from the code's
+    # pairs, so a run constructs no Arrow and prints what a plain run does
+    from vassiliev import diagrams
+    from vassiliev.cli import main
+
+    made = []
+
+    def counted(*fields):
+        made.append(fields)
+        return Arrow(*fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "Arrow", counted)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+    assert made == []
+    assert main(argv) == 0 and capsys.readouterr().out == out
 
 
 def test_arrow_diagram_refuses_label_met_four_times():

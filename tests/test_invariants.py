@@ -200,7 +200,7 @@ def test_report_shape(trefoil):
 
 def test_half_sum_can_fail_on_virtual_codes():
     virtual = parse_gauss_code("O1+ U2+ U1+ O2+")
-    with pytest.raises(NonIntegerResult):
+    with pytest.raises(NonIntegerResult, match="^half the pair sum evaluated to 1/2$"):
         v2_lannes(virtual)
 
 
