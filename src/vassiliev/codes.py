@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -78,10 +78,50 @@ class Diagnostic(NamedTuple):
     message: str
 
 
-class _Code:
+class _Value:
+    """An immutable value.  A subclass names its fields in ``_fields``, and
+    its ``__init__`` checks them and sets them with ``object.__setattr__``;
+    after that no attribute can be assigned or deleted.  Two values are
+    equal when they are of one class with equal fields, a value hashes as
+    the tuple of its fields, and it shows as ``Name(field=value, ...)``."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        # per class, so equality and hash read the fields with one C call:
+        # chord diagrams key every weight table
+        super().__init_subclass__(**kwargs)
+        key = attrgetter(*cls._fields)  # the value itself for one field
+        one = len(cls._fields) == 1
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((key(self),) if one else key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Code(_Value):
     """What the two code classes share: the passages and their pairing."""
 
-    passages: tuple
+    _fields = ("passages",)
+
+    def __init__(self, passages: tuple = ()):
+        object.__setattr__(self, "passages", passages)
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -130,11 +170,10 @@ class _Code:
                 yield kind, second, first, p.sign
 
 
-@dataclass(frozen=True)
 class GaussCode(_Code):
     """An immutable signed Gauss code; passages in basepoint order."""
 
-    passages: tuple[Passage, ...] = ()
+    passages: tuple[Passage, ...]
 
     @property
     def crossings(self) -> tuple[str, ...]:
@@ -153,11 +192,10 @@ class GaussCode(_Code):
         return self.passages[i].sign
 
 
-@dataclass(frozen=True)
 class SingularCode(_Code):
     """A Gauss code with double points mixed in."""
 
-    passages: tuple[AnyPassage, ...] = ()
+    passages: tuple[AnyPassage, ...]
 
     @property
     def double_points(self) -> tuple[str, ...]:

@@ -23,14 +23,13 @@ the head of arrow 1 and ``1t`` for its tail, e.g. ``1h 2t 1t 2h``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .codes import DoublePointPassage, GaussCode, SingularCode
+from .codes import DoublePointPassage, GaussCode, SingularCode, _Value
 from .errors import (
     IndexOutOfRange,
     MalformedToken,
@@ -118,15 +117,14 @@ class ArrowDiagram:
         return f"ArrowDiagram({self.arrows!r})"
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Value):
     """An arrow diagram with no signs, used as a thing to count."""
 
-    arrows: tuple[tuple[int, int], ...]
+    _fields = ("arrows",)
 
-    def __post_init__(self):
-        _check_positions(self.arrows)
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows, key=min)))
+    def __init__(self, arrows: tuple[tuple[int, int], ...]):
+        _check_positions(arrows)
+        object.__setattr__(self, "arrows", tuple(sorted(arrows, key=min)))
 
     @property
     def degree(self) -> int:
@@ -154,19 +152,14 @@ class Pattern:
         return tuple(dict.fromkeys([self.rotate(k) for k in range(max(1, 2 * len(self.arrows)))]))
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(_Value):
     """Unordered chords on 2n based circle positions."""
 
-    chords: tuple[tuple[int, int], ...]
+    _fields = ("chords",)
 
-    def __post_init__(self):
-        _check_positions(self.chords)
-        object.__setattr__(
-            self,
-            "chords",
-            tuple(sorted(tuple(sorted(c)) for c in self.chords)),
-        )
+    def __init__(self, chords: tuple[tuple[int, int], ...]):
+        _check_positions(chords)
+        object.__setattr__(self, "chords", tuple(sorted(tuple(sorted(c)) for c in chords)))
 
     @property
     def degree(self) -> int:
@@ -334,11 +327,13 @@ class PatternTerm(NamedTuple):
     pattern: Pattern
 
 
-@dataclass(frozen=True)
-class PatternExpression:
+class PatternExpression(_Value):
     """A rational combination of (possibly rotation-summed) patterns."""
 
-    terms: tuple[PatternTerm, ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[PatternTerm, ...]):
+        object.__setattr__(self, "terms", terms)
 
     @property
     def degree(self) -> int:

@@ -16,12 +16,11 @@ and by one term only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .codes import GaussCode, KnotRecord, parse_rational
+from .codes import GaussCode, KnotRecord, _Value, parse_rational
 from .errors import (
     DegreeTooHigh,
     ParseError,
@@ -37,16 +36,16 @@ class ExpansionTerm(NamedTuple):
     knot: str
 
 
-@dataclass(frozen=True)
-class Expansion:
-    degree: int
-    terms: Tuple[ExpansionTerm, ...]
+class Expansion(_Value):
+    _fields = ("degree", "terms")
 
-    def __post_init__(self):
-        knots = [term.knot for term in self.terms]
+    def __init__(self, degree: int, terms: Tuple[ExpansionTerm, ...]):
+        knots = [term.knot for term in terms]
         for knot in knots:
             if knots.count(knot) > 1:
                 raise VassilievError(f"basis knot {knot!r} is named by {knots.count(knot)} terms")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
 
 
 class ResidualRow(NamedTuple):

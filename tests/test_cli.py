@@ -588,14 +588,14 @@ def test_verify_expansion_fails_on_an_inconsistent_basis_solve(capsys, monkeypat
 
 def test_verify_expansion_reports_the_values_solved_on_the_second_basis_knot(capsys, monkeypatch):
     # with the terms reversed 3_1 is the second basis knot
-    import dataclasses
     from vassiliev import cli
+    from vassiliev.expansion import Expansion
 
     build = cli.bundled_expansion
 
     def reversed_terms(degree):
         expansion = build(degree)
-        return dataclasses.replace(expansion, terms=expansion.terms[::-1]) if degree == 3 else expansion
+        return Expansion(expansion.degree, expansion.terms[::-1]) if degree == 3 else expansion
 
     monkeypatch.setattr(cli, "bundled_expansion", reversed_terms)
     assert run(capsys, "verify", "--suite", "expansion") == (

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import vassiliev
@@ -46,34 +49,25 @@ def test_no_global_statements_in_the_package():
     assert found == []
 
 
-def _decorator_name(node: ast.expr) -> str:
-    node = node.func if isinstance(node, ast.Call) else node
-    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
-
-
-def test_dataclasses_are_kept_for_classes_that_validate_or_cache():
-    # a frozen dataclass costs several times a NamedTuple to define at
-    # import, so it is kept only where __post_init__ or a cached_property
-    # needs it; a class that only holds fields is a NamedTuple
-    classes = {
-        node.name: node
+def test_no_module_imports_dataclasses():
+    # a frozen dataclass writes its methods through exec when it is
+    # defined, and importing dataclasses loads inspect: start-up that every
+    # process pays, so the value classes share codes._Value instead
+    found = [
+        f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.ClassDef)
-    }
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert found == []
 
-    def needs_dataclass(node: ast.ClassDef) -> bool:
-        own = any(
-            isinstance(item, ast.FunctionDef)
-            and (item.name == "__post_init__" or "cached_property" in map(_decorator_name, item.decorator_list))
-            for item in node.body
-        )
-        bases = (classes.get(getattr(base, "id", None)) for base in node.bases)
-        return own or any(needs_dataclass(base) for base in bases if base is not None)
 
-    dataclasses = [n for n in classes.values() if "dataclass" in map(_decorator_name, n.decorator_list)]
-    assert dataclasses
-    assert [n.name for n in dataclasses if not needs_dataclass(n)] == []
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SOURCE.parent), os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, vassiliev.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def _calls(name: str):
